@@ -29,7 +29,7 @@ int main() {
       auto volume = make_volume(sim, spec);
       if (degraded) static_cast<Raid5&>(*volume).fail_disk(1);
       auto engine = make_engine(sim, *volume, spec);
-      Replayer replayer;
+      Replayer replayer(AdmissionMode::kStreaming, spec.pipeline);
       const ReplayResult r = replayer.replay(sim, *engine, trace);
       if (k == EngineKind::kNative) native = r.mean_ms();
       std::printf("%-10s %-14s %16.2f %16.2f %16.2f %13.1f%%\n",

@@ -9,13 +9,13 @@
 // leg. Fixed chunking loses all alignment after an insertion; CDC
 // re-synchronises within one chunk — that gap is the figure.
 //
-// Knobs: POD_CDC_SWEEP_MB (corpus size, default 24), POD_SCALAR_PROBES=1
-// runs the per-chunk reference cache path (results must be identical;
-// only wall-clock changes). Results append to POD_BENCH_JSON when set.
+// Knobs (parsed by pod::bench::options()): POD_CDC_SWEEP_MB (corpus size,
+// default 24), POD_SCALAR_PROBES=1 runs the per-chunk reference cache path
+// (results must be identical; only wall-clock changes). Results append to
+// POD_BENCH_JSON when set.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,9 +120,9 @@ SweepResult run_point(const SweepPoint& point, const Corpus& corpus,
 
 void emit_json(const SweepPoint& point, const SweepResult& r,
                bool scalar_probes) {
-  const char* path = std::getenv("POD_BENCH_JSON");
-  if (path == nullptr) return;
-  std::FILE* f = std::fopen(path, "a");
+  const std::string& path = pod::bench::options().bench_json;
+  if (path.empty()) return;
+  std::FILE* f = std::fopen(path.c_str(), "a");
   if (f == nullptr) return;
   const unsigned hw = std::thread::hardware_concurrency();
   std::fprintf(
@@ -151,29 +151,14 @@ void emit_json(const SweepPoint& point, const SweepResult& r,
   std::fclose(f);
 }
 
-std::uint64_t corpus_mb_from_env() {
-  const char* env = std::getenv("POD_CDC_SWEEP_MB");
-  if (env == nullptr || *env == '\0') return 24;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0) {
-    std::fprintf(stderr, "[bench] POD_CDC_SWEEP_MB='%s' invalid; aborting\n",
-                 env);
-    std::exit(2);
-  }
-  return v;
-}
-
 }  // namespace
 
 int main() {
-  const bool scalar_probes = []() {
-    const char* env = std::getenv("POD_SCALAR_PROBES");
-    return env != nullptr && std::strcmp(env, "0") != 0;
-  }();
+  const RunOptions& opts = pod::bench::options();
+  const bool scalar_probes = opts.scalar_probes;
 
   // Corpus: total ~POD_CDC_SWEEP_MB across 12 versions of one object.
-  const std::uint64_t total_mb = corpus_mb_from_env();
+  const std::uint64_t total_mb = opts.cdc_sweep_mb;
   const int versions = 12;
   const std::uint64_t base_bytes = total_mb * 1000 * 1000 / versions;
   Rng rng(0x0DC0FFEE);

@@ -10,10 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "cache/arc_cache.hpp"
 #include "cache/flat_lru_map.hpp"
 #include "cache/index_cache.hpp"
-#include "cache/lru_cache.hpp"
 #include "common/flat_hash_map.hpp"
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
@@ -135,21 +133,6 @@ void BM_FingerprintOfContentId(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintOfContentId);
 
-void BM_LruMapPutGet(benchmark::State& state) {
-  LruMap<std::uint64_t, std::uint64_t> map(
-      static_cast<std::size_t>(state.range(0)));
-  Rng rng(1);
-  std::uint64_t k = 0;
-  for (auto _ : state) {
-    map.put(k, k);
-    benchmark::DoNotOptimize(map.get(rng.uniform(0, k)));
-    ++k;
-  }
-}
-BENCHMARK(BM_LruMapPutGet)->Arg(1024)->Arg(65536);
-
-// Same access pattern as BM_LruMapPutGet — the flat map's win over the
-// node-based LruMap is this pair's ratio.
 void BM_FlatLruMapPutGet(benchmark::State& state) {
   FlatLruMap<std::uint64_t, std::uint64_t> map(
       static_cast<std::size_t>(state.range(0)));
@@ -375,18 +358,6 @@ void BM_IndexInsert_Batch(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexInsert_Batch)->Arg(1024)->Arg(65536)->Arg(1 << 20)->Arg(1 << 22);
 
-void BM_ArcCacheZipf(benchmark::State& state) {
-  ArcCache cache(static_cast<std::size_t>(state.range(0)));
-  Rng rng(9);
-  ZipfSampler zipf(1 << 16, 0.9);
-  for (auto _ : state) {
-    const Pba b = zipf.sample(rng);
-    if (!cache.lookup(b)) cache.insert(b);
-  }
-  state.counters["hit_rate"] = cache.hit_rate();
-}
-BENCHMARK(BM_ArcCacheZipf)->Arg(1024)->Arg(8192);
-
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(static_cast<std::uint64_t>(state.range(0)), 0.9);
   Rng rng(3);
@@ -529,25 +500,26 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(16)->Arg(1024);
 
-// Telemetry-off overhead tripwire: with no POD_* variable set, every
-// instrumentation site reduces to one branch on a null pointer, so a full
-// replay must cost what it did before the telemetry subsystem existed.
-// Compare against BM_ReplayTelemetryOn for the enabled cost.
-void BM_ReplayTelemetryOff(benchmark::State& state) {
-  unsetenv("POD_TRACE_EVENTS");
-  unsetenv("POD_TELEMETRY_CSV");
-  unsetenv("POD_ANATOMY");
-  unsetenv("POD_TAIL_ANATOMY");
+/// Replays a small POD trace per iteration under `spec`'s observation
+/// settings (telemetry and anatomy off unless the caller turns them on).
+void replay_small_pod_trace(benchmark::State& state, RunSpec spec) {
   WorkloadProfile p = tiny_test_profile();
   p.warmup_requests = 500;
   p.measured_requests = 2000;
   const Trace t = TraceGenerator(p).generate();
-  RunSpec spec;
   spec.engine = EngineKind::kPod;
   spec.engine_cfg.logical_blocks = p.volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;
   for (auto _ : state) benchmark::DoNotOptimize(run_replay(spec, t));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
+}
+
+// Telemetry-off overhead tripwire: with no sink configured, every
+// instrumentation site reduces to one branch on a null pointer, so a full
+// replay must cost what it did before the telemetry subsystem existed.
+// Compare against BM_ReplayTelemetryOn for the enabled cost.
+void BM_ReplayTelemetryOff(benchmark::State& state) {
+  replay_small_pod_trace(state, RunSpec{});
 }
 BENCHMARK(BM_ReplayTelemetryOff);
 
@@ -555,20 +527,10 @@ void BM_ReplayTelemetryOn(benchmark::State& state) {
   const std::string dir =
       std::filesystem::temp_directory_path() / "pod_bench_telemetry";
   std::filesystem::create_directories(dir);
-  setenv("POD_TRACE_EVENTS", (dir + "/trace.json").c_str(), 1);
-  setenv("POD_TELEMETRY_CSV", (dir + "/series.csv").c_str(), 1);
-  WorkloadProfile p = tiny_test_profile();
-  p.warmup_requests = 500;
-  p.measured_requests = 2000;
-  const Trace t = TraceGenerator(p).generate();
   RunSpec spec;
-  spec.engine = EngineKind::kPod;
-  spec.engine_cfg.logical_blocks = p.volume_blocks;
-  spec.engine_cfg.memory_bytes = 2 * kMiB;
-  for (auto _ : state) benchmark::DoNotOptimize(run_replay(spec, t));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
-  unsetenv("POD_TRACE_EVENTS");
-  unsetenv("POD_TELEMETRY_CSV");
+  spec.telemetry.trace_events_path = dir + "/trace.json";
+  spec.telemetry.timeseries_path = dir + "/series.csv";
+  replay_small_pod_trace(state, spec);
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_ReplayTelemetryOn);
@@ -577,36 +539,14 @@ BENCHMARK(BM_ReplayTelemetryOn);
 // contract, so the off path must again be one null-pointer branch per
 // charge site. Compare Off vs On for the enabled attribution cost.
 void BM_ReplayAnatomyOff(benchmark::State& state) {
-  unsetenv("POD_ANATOMY");
-  unsetenv("POD_TAIL_ANATOMY");
-  WorkloadProfile p = tiny_test_profile();
-  p.warmup_requests = 500;
-  p.measured_requests = 2000;
-  const Trace t = TraceGenerator(p).generate();
-  RunSpec spec;
-  spec.engine = EngineKind::kPod;
-  spec.engine_cfg.logical_blocks = p.volume_blocks;
-  spec.engine_cfg.memory_bytes = 2 * kMiB;
-  for (auto _ : state) benchmark::DoNotOptimize(run_replay(spec, t));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
+  replay_small_pod_trace(state, RunSpec{});
 }
 BENCHMARK(BM_ReplayAnatomyOff);
 
 void BM_ReplayAnatomyOn(benchmark::State& state) {
-  setenv("POD_ANATOMY", "1", 1);
-  setenv("POD_TAIL_ANATOMY", "64", 1);
-  WorkloadProfile p = tiny_test_profile();
-  p.warmup_requests = 500;
-  p.measured_requests = 2000;
-  const Trace t = TraceGenerator(p).generate();
   RunSpec spec;
-  spec.engine = EngineKind::kPod;
-  spec.engine_cfg.logical_blocks = p.volume_blocks;
-  spec.engine_cfg.memory_bytes = 2 * kMiB;
-  for (auto _ : state) benchmark::DoNotOptimize(run_replay(spec, t));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2000);
-  unsetenv("POD_ANATOMY");
-  unsetenv("POD_TAIL_ANATOMY");
+  spec.anatomy = LatencyAnatomy::Config{.tail_k = 64};
+  replay_small_pod_trace(state, spec);
 }
 BENCHMARK(BM_ReplayAnatomyOn);
 

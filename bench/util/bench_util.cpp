@@ -1,11 +1,10 @@
 #include "bench_util.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "common/resource.hpp"
@@ -14,29 +13,29 @@
 
 namespace pod::bench {
 
-double scale_from_env() {
-  const char* env = std::getenv("POD_SCALE");
-  if (env == nullptr) return 0.25;
-  double v = 0.0;
-  const char* end = env + std::strlen(env);
-  const auto [ptr, ec] = std::from_chars(env, end, v);
-  if (ec != std::errc{} || ptr != end || !(v > 0.0) || v > 1.0) {
-    std::fprintf(stderr,
-                 "[bench] POD_SCALE='%s' is not a number in (0,1]; aborting\n",
-                 env);
-    std::exit(2);
-  }
-  return v;
+const RunOptions& options() {
+  static const RunOptions opts = [] {
+    try {
+      RunOptions parsed = RunOptions::parse_environment();
+      if (parsed.simd) cap_simd_tier(*parsed.simd);
+      return parsed;
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(2);
+    }
+  }();
+  return opts;
 }
 
+double scale_from_env() { return options().scale; }
+
 std::vector<WorkloadProfile> selected_profiles(double scale) {
-  const char* only = std::getenv("POD_TRACE");
   std::vector<WorkloadProfile> all = paper_profiles(scale);
-  if (only == nullptr) return all;
+  if (options().trace.empty()) return all;
   std::vector<WorkloadProfile> out;
   for (auto& p : all)
-    if (p.name == only) out.push_back(std::move(p));
-  return out.empty() ? all : out;
+    if (p.name == options().trace) out.push_back(std::move(p));
+  return out;
 }
 
 namespace {
@@ -75,13 +74,13 @@ const Trace& trace_for(const WorkloadProfile& profile) {
   // may race and generate twice; the loser's copy is discarded below
   // (insert-or-discard), which costs duplicate work only in that narrow
   // race instead of a global stall on every cold start.
-  if (trace_cache_dir().empty()) {
+  if (options().trace_cache.empty()) {
     std::fprintf(stderr, "[bench] generating trace %s (%llu requests)...\n",
                  profile.name.c_str(),
                  static_cast<unsigned long long>(profile.warmup_requests +
                                                  profile.measured_requests));
   }
-  Trace generated = obtain_trace(profile);
+  Trace generated = obtain_trace(profile, options().trace_cache);
   std::lock_guard<std::mutex> lock(memo.mu);
   if (const Trace* hit = memo_find(memo, key)) return *hit;
   // std::map nodes are stable: the reference outlives later insertions.
@@ -98,7 +97,8 @@ void prefetch_traces(const std::vector<WorkloadProfile>& profiles) {
         missing.push_back(p);
   }
   if (missing.empty()) return;
-  std::vector<Trace> traces = obtain_traces(missing, bench_jobs());
+  std::vector<Trace> traces =
+      obtain_traces(missing, bench_jobs(), options().trace_cache);
   std::lock_guard<std::mutex> lock(memo.mu);
   for (std::size_t i = 0; i < missing.size(); ++i) {
     const std::string key = trace_cache_key(missing[i]);
@@ -124,26 +124,15 @@ RunSpec paper_spec(EngineKind engine, const WorkloadProfile& profile,
   spec.raid = RaidLevel::kRaid5;
   spec.array_cfg.num_disks = 4;              // 4-disk RAID5 (§IV-B)
   spec.array_cfg.stripe_unit_blocks = 16;    // 64 KB stripe unit
-  // Off unless POD_FAULT_* is set; a default bench run injects nothing and
-  // stays byte-identical.
-  spec.array_cfg.fault = FaultConfig::from_env();
   spec.engine_cfg.logical_blocks = profile.volume_blocks;
   spec.engine_cfg.memory_bytes = paper_memory_bytes(profile.name, scale);
+  // Faults, telemetry and anatomy stay off unless a POD_* knob turns them
+  // on, so a default bench run is byte-identical run to run.
+  options().apply(spec);
   return spec;
 }
 
-std::size_t bench_jobs() {
-  // Replay runs are CPU-bound, so a POD_JOBS above the core count cannot
-  // add throughput — it only buys context-switch overhead (POD_JOBS=4 on a
-  // 1-core host measured ~17% slower than POD_JOBS=1). Benches cap the
-  // request at hardware concurrency; tests construct ParallelRunner with
-  // explicit job counts and keep the right to oversubscribe (interleaving
-  // coverage under TSan).
-  const std::size_t jobs = ThreadPool::jobs_from_env();
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t cap = hw > 0 ? hw : 1;
-  return jobs > cap ? cap : jobs;
-}
+std::size_t bench_jobs() { return options().jobs; }
 
 std::map<EngineKind, ReplayResult> run_engine_set(
     const std::vector<EngineKind>& engines, const WorkloadProfile& profile,
@@ -239,11 +228,12 @@ void emit_anatomy_json(std::FILE* f, const AnatomyResult& a) {
 
 void emit_replay_counters_json(
     const std::map<EngineKind, ReplayResult>& results) {
-  const char* path = std::getenv("POD_BENCH_JSON");
-  if (path == nullptr) return;
-  std::FILE* f = std::fopen(path, "a");
+  const std::string& path = options().bench_json;
+  if (path.empty()) return;
+  std::FILE* f = std::fopen(path.c_str(), "a");
   if (f == nullptr) {
-    std::fprintf(stderr, "[bench] cannot append to POD_BENCH_JSON=%s\n", path);
+    std::fprintf(stderr, "[bench] cannot append to POD_BENCH_JSON=%s\n",
+                 path.c_str());
     return;
   }
   for (const auto& [kind, r] : results) {
@@ -341,7 +331,7 @@ void print_anatomy_tables(const std::string& trace_name,
 
   // Tail anatomy: opt-in via POD_TAIL_ANATOMY — the forensic view of the
   // slowest retained requests, decomposed.
-  if (std::getenv("POD_TAIL_ANATOMY") == nullptr) return;
+  if (!options().tail_anatomy) return;
   constexpr std::size_t kPrintTail = 5;
   for (const auto& [kind, r] : results) {
     const AnatomyResult& a = r.anatomy;

@@ -1,32 +1,15 @@
 // Shared machinery for the experiment benches (one binary per paper
 // table/figure; see DESIGN.md's experiment index).
 //
-// Environment knobs:
-//   POD_SCALE  — trace scale factor in (0,1]; default 0.25. Scale 1.0
-//                reproduces the paper's full day-15 request counts.
-//                Malformed values abort the bench rather than silently
-//                running at a default scale.
-//   POD_TRACE  — restrict to one workload ("web-vm", "homes", "mail").
-//   POD_JOBS   — parallel replay jobs per engine set; default = hardware
-//                concurrency. Per-run results are byte-identical to serial
-//                (each run owns its simulator); only wall-clock changes.
-//   POD_TRACE_CACHE — directory for the persistent trace cache; when set,
-//                generated traces are stored there in binary PODTRC form
-//                and later runs bulk-load them instead of regenerating.
-//   POD_BENCH_JSON  — file to append per-run replay counters to, one JSON
-//                object per line (mean latency, events scheduled, peak
-//                event-heap depth, peak RSS, plus host execution context
-//                (hardware threads, active SIMD tier, pipeline state),
-//                per-disk breakdowns, RAID5 parity write modes, iCache
-//                adaptation state, and — when telemetry is on — the
-//                metrics-registry snapshot; when latency anatomy is on,
-//                an "anatomy" object with per-component latency
-//                distributions, per-stream accounting, and the tail ring).
-//   POD_TRACE_EVENTS / POD_TELEMETRY_CSV / POD_TELEMETRY_INTERVAL_MS /
-//   POD_TRACE_LIMIT — sim-time telemetry sinks; see
-//                src/telemetry/telemetry.hpp.
-//   POD_ANATOMY / POD_TAIL_ANATOMY / POD_ANATOMY_BUCKETS — per-request
-//                latency attribution; see src/replay/anatomy.hpp.
+// Every bench reads its POD_* knobs through options(), which parses the
+// whole knob table once (src/replay/run_options.hpp; README.md lists every
+// knob) and rejects a malformed value before any work starts. paper_spec()
+// copies the per-run settings into each RunSpec. POD_BENCH_JSON names a
+// file that receives one JSON object per run: mean latency, events
+// scheduled, peak event-heap depth, peak RSS, host context (hardware
+// threads, SIMD tier, pipeline state), per-disk breakdowns, RAID5 parity
+// write modes, iCache state, the telemetry snapshot when telemetry is on,
+// and an "anatomy" object when latency anatomy is on.
 #pragma once
 
 #include <cstddef>
@@ -34,13 +17,18 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "replay/parallel_runner.hpp"
 #include "replay/replayer.hpp"
+#include "replay/run_options.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
 
 namespace pod::bench {
+
+/// The POD_* knobs, parsed on first call. A malformed value prints
+/// "[pod] NAME='value': want <form>" and exits 2; every bench reaches this
+/// (directly or through scale_from_env) before doing any work.
+const RunOptions& options();
 
 /// Scale factor from POD_SCALE (default 0.25).
 double scale_from_env();
@@ -67,13 +55,13 @@ std::vector<EngineKind> figure8_engines();
 std::vector<EngineKind> figure11_engines();
 
 /// Builds the standard 4-disk RAID5 / 64 KB stripe run spec of §IV-B with
-/// the paper's per-trace memory budget.
+/// the paper's per-trace memory budget and options()' per-run settings.
 RunSpec paper_spec(EngineKind engine, const WorkloadProfile& profile,
                    double scale);
 
-/// Parallel job count from POD_JOBS (default: hardware concurrency),
-/// capped at hardware concurrency — oversubscribing CPU-bound replays
-/// only adds scheduling overhead.
+/// Parallel job count from POD_JOBS (default and cap: hardware
+/// concurrency). Per-run results are byte-identical to serial; only
+/// wall-clock changes.
 std::size_t bench_jobs();
 
 /// Runs every engine over one trace, fanning runs across bench_jobs()

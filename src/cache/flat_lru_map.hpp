@@ -1,10 +1,10 @@
-// Open-addressing LRU map: LruMap's interface over a flat probe table.
+// Open-addressing LRU map over a flat probe table.
 //
-// LruMap (std::list + std::unordered_map) performs two node allocations per
-// insert and chases three pointers per lookup; profiled replays spend more
-// time in those maps than in the disks. FlatLruMap keeps entries in a
-// stable slot pool threaded onto an intrusive MRU..LRU list and locates
-// them through a linear-probe index table of {slot, tag} pairs:
+// A node-based LRU (std::list + std::unordered_map) performs two node
+// allocations per insert and chases three pointers per lookup; profiled
+// replays spend more time in such maps than in the disks. FlatLruMap keeps
+// entries in a stable slot pool threaded onto an intrusive MRU..LRU list
+// and locates them through a linear-probe index table of {slot, tag} pairs:
 //
 //   table_  : power-of-two vector of {32-bit slot index, 32-bit hash tag}
 //             (slot == kEmpty when free)
@@ -12,8 +12,7 @@
 //             intrusive list is threaded by index, so index-table rehashes
 //             never move entries. Value pointers follow vector rules:
 //             valid until an insert grows the pool (use them immediately,
-//             as all callers here do; LruMap remains for callers that need
-//             unconditional stability).
+//             as all callers here do).
 //
 // The tag is the scrambled hash: probes compare tags before touching the
 // slot pool at all, so a miss or a displaced-cluster scan costs sequential
@@ -37,11 +36,6 @@
 // tombstones and never forces compaction rebuilds. Keys are scrambled
 // with a Fibonacci multiplier so identity hashes (std::hash<uint64_t>,
 // FingerprintHash) do not cluster under linear probing.
-//
-// Semantics match LruMap exactly — same eviction order, same callback
-// signature — so callers can switch per-map. Hot fixed-size maps
-// (index cache, ghost lists, read cache) use FlatLruMap; LruMap remains
-// for the cold/irregular callers.
 #pragma once
 
 #include <algorithm>

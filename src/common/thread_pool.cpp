@@ -1,7 +1,5 @@
 #include "common/thread_pool.hpp"
 
-#include <cstdlib>
-
 namespace pod {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -57,17 +55,6 @@ void ThreadPool::worker_loop() {
       if (queue_.empty() && in_flight_ == 0) all_done_.notify_all();
     }
   }
-}
-
-std::size_t ThreadPool::jobs_from_env(std::size_t fallback) {
-  if (fallback == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    fallback = hw > 0 ? hw : 1;
-  }
-  const char* env = std::getenv("POD_JOBS");
-  if (env == nullptr || *env == '\0') return fallback;
-  const long v = std::atol(env);
-  return v > 0 ? static_cast<std::size_t>(v) : fallback;
 }
 
 }  // namespace pod

@@ -38,11 +38,6 @@ class ThreadPool {
   /// Blocks until every submitted task has finished executing.
   void wait_idle();
 
-  /// Parses the POD_JOBS environment knob: a positive integer caps the
-  /// job count; unset or invalid values fall back to `fallback` (which
-  /// defaults to the hardware concurrency, minimum 1).
-  static std::size_t jobs_from_env(std::size_t fallback = 0);
-
  private:
   void worker_loop();
 

@@ -1,31 +1,10 @@
 #include "dedup/chunking.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hpp"
 
 namespace pod {
-
-namespace {
-
-/// Parses a positive integer env var; returns `fallback` (with a warning)
-/// when unset values are fine but malformed ones are not silently eaten.
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0) {
-    POD_LOG_WARN("chunking: ignoring malformed %s=\"%s\" (want a positive byte count)",
-                 name, env);
-    return fallback;
-  }
-  return static_cast<std::size_t>(v);
-}
-
-}  // namespace
 
 const char* to_string(ChunkingMode mode) {
   return mode == ChunkingMode::kCdc ? "cdc" : "fixed";
@@ -55,47 +34,6 @@ RabinConfig ChunkingConfig::rabin_for_expected(std::size_t expected_bytes) {
 std::size_t ChunkingConfig::expected_chunk_bytes() const {
   if (mode == ChunkingMode::kFixed) return fixed_size;
   return rabin.min_chunk + (std::size_t{1} << rabin.mask_bits);
-}
-
-ChunkingConfig ChunkingConfig::from_env() {
-  ChunkingConfig cfg;
-  if (const char* env = std::getenv("POD_CHUNKING"); env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "cdc") == 0) {
-      cfg.mode = ChunkingMode::kCdc;
-    } else if (std::strcmp(env, "fixed") != 0) {
-      POD_LOG_WARN("chunking: unknown POD_CHUNKING=\"%s\", using fixed", env);
-    }
-  }
-
-  std::size_t min = env_size("POD_CDC_MIN", cfg.rabin.min_chunk);
-  std::size_t avg = env_size("POD_CDC_AVG",
-                             cfg.rabin.min_chunk +
-                                 (std::size_t{1} << cfg.rabin.mask_bits));
-  std::size_t max = env_size("POD_CDC_MAX", cfg.rabin.max_chunk);
-
-  if (min < cfg.rabin.window) {
-    POD_LOG_WARN("chunking: POD_CDC_MIN=%zu below window %zu, clamping", min,
-                 cfg.rabin.window);
-    min = cfg.rabin.window;
-  }
-  if (avg <= min) {
-    POD_LOG_WARN("chunking: POD_CDC_AVG=%zu not above min %zu, clamping", avg,
-                 min);
-    avg = min + 16;
-  }
-  if (max <= avg) {
-    POD_LOG_WARN("chunking: POD_CDC_MAX=%zu not above avg %zu, clamping", max,
-                 avg);
-    max = avg * 2;
-  }
-
-  cfg.rabin.min_chunk = min;
-  cfg.rabin.max_chunk = max;
-  int bits = static_cast<int>(std::lround(std::log2(static_cast<double>(avg - min))));
-  if (bits < 4) bits = 4;
-  if (bits > 30) bits = 30;
-  cfg.rabin.mask_bits = static_cast<std::uint32_t>(bits);
-  return cfg;
 }
 
 Chunker::Chunker(const ChunkingConfig& cfg)

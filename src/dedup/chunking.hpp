@@ -3,14 +3,9 @@
 //
 // POD's block-level prototype is fixed-4KB (the paper's model); the CDC
 // mode opens the variable-size-chunk scenario on top of the runtime-
-// dispatched SIMD Rabin boundary scan. Mode and knobs come from the
-// environment:
-//   POD_CHUNKING = fixed | cdc       (default fixed)
-//   POD_CDC_MIN / POD_CDC_AVG / POD_CDC_MAX — chunk-size knobs in bytes
-//     (defaults 2K / 2K+4K / 16K). The average maps onto the Rabin mask:
-//     expected chunk ~= min + 2^mask_bits, so AVG is rounded to the
-//     nearest representable value. Malformed or inconsistent values are
-//     clamped with a logged warning, never undefined behavior.
+// dispatched SIMD Rabin boundary scan. Callers pick the mode and chunk
+// sizes in ChunkingConfig (rabin_for_expected derives a Rabin config from
+// a target average).
 #pragma once
 
 #include <cstdint>
@@ -30,9 +25,6 @@ struct ChunkingConfig {
   ChunkingMode mode = ChunkingMode::kFixed;
   std::size_t fixed_size = kBlockSize;
   RabinConfig rabin;
-
-  /// Reads POD_CHUNKING / POD_CDC_* (see file header).
-  static ChunkingConfig from_env();
 
   /// Derives a RabinConfig whose expected chunk size is ~`expected_bytes`:
   /// min = expected/2, mask sized so min + 2^mask_bits = expected, max =

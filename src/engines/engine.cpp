@@ -1,23 +1,11 @@
 #include "engines/engine.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/check.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace pod {
-
-bool scalar_probes_from_env() {
-  const char* env = std::getenv("POD_SCALAR_PROBES");
-  return env != nullptr && std::strcmp(env, "0") != 0;
-}
-
-bool fused_probes_from_env() {
-  const char* env = std::getenv("POD_FUSED_PROBES");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
 
 std::uint64_t required_volume_blocks(const EngineConfig& cfg) {
   const std::uint64_t pool = std::max<std::uint64_t>(

@@ -47,14 +47,6 @@ class Telemetry;
 class TraceEventWriter;
 class MetricCounter;
 
-/// POD_SCALAR_PROBES env default for EngineConfig::scalar_probes: unset or
-/// "0" → false, anything else → true.
-bool scalar_probes_from_env();
-
-/// POD_FUSED_PROBES env default for EngineConfig::fused_probes: unset or
-/// anything but "0" → true, "0" → false (selects the two-phase batch path).
-bool fused_probes_from_env();
-
 struct EngineConfig {
   /// Total DRAM budget split between index cache and read cache.
   std::uint64_t memory_bytes = 64 * kMiB;
@@ -92,18 +84,16 @@ struct EngineConfig {
   /// per-chunk path instead of the batched two-phase / request-scoped bulk
   /// path. Replay output is asserted byte-identical between the two
   /// (batch_equivalence_test); this switch exists so that assertion has a
-  /// reference to compare against. Defaults to POD_SCALAR_PROBES when set
-  /// (so CI can force whole suites onto the reference path), else false.
-  bool scalar_probes = scalar_probes_from_env();
+  /// reference to compare against.
+  bool scalar_probes = false;
 
   /// Selects the fused single-pass lookup (IndexCache::lookup_fused and the
   /// tagged read-plan loop) over the PR7 two-phase batch path. All three
   /// probe modes — scalar (scalar_probes), batch (fused_probes = false) and
   /// fused (default) — produce byte-identical replay output
-  /// (batch_equivalence_test asserts it per engine). Defaults to off when
-  /// POD_FUSED_PROBES=0 so CI can A/B whole suites. Ignored while
+  /// (batch_equivalence_test asserts it per engine). Ignored while
   /// scalar_probes is set.
-  bool fused_probes = fused_probes_from_env();
+  bool fused_probes = true;
 
   /// Record every dedup-metadata mutation (Map-table binds/unbinds, index
   /// puts/dels) in a write-ahead journal for crash-recovery simulation.

@@ -71,10 +71,6 @@ struct FaultConfig {
   std::uint64_t rebuild_batch_rows = 8;
   /// Pacing delay between rebuild batches (lets foreground I/O breathe).
   Duration rebuild_interval = ms(2);
-
-  /// Builds a config from POD_FAULT_* environment variables (see
-  /// DESIGN.md "Fault model"); enabled iff any variable is set.
-  static FaultConfig from_env();
 };
 
 /// Cumulative injector activity (what was injected, not what survived).

@@ -1,10 +1,9 @@
 #include "hash/simd.hpp"
 
-#include <cstdlib>
+#include <atomic>
 #include <cstring>
-#include <string>
 
-#include "common/logging.hpp"
+#include "common/check.hpp"
 #include "hash/xx64.hpp"
 
 namespace pod {
@@ -143,28 +142,28 @@ bool self_check(SimdTier tier) {
 
 }  // namespace
 
-SimdTier resolve_simd_tier_from_env() {
-  SimdTier tier = max_hw_simd_tier();
-  if (const char* env = std::getenv("POD_SIMD")) {
-    const std::string v(env);
-    if (v == "scalar") tier = SimdTier::kScalar;
-    else if (v == "sse") tier = clamp_to_hw(SimdTier::kSse42);
-    else if (v == "avx2") tier = clamp_to_hw(SimdTier::kAvx2);
-    else
-      // Same contract as the POD_PIPELINE_DEPTH clamp: a malformed override
-      // is reported, then ignored — auto-detection proceeds.
-      POD_LOG_WARN(
-          "simd: ignoring unrecognized POD_SIMD=\"%s\" "
-          "(want scalar | sse | avx2), using hardware default %s",
-          env, to_string(tier));
-  }
+SimdTier resolve_simd_tier(std::optional<SimdTier> cap) {
+  SimdTier tier = cap ? clamp_to_hw(*cap) : max_hw_simd_tier();
   if (tier != SimdTier::kScalar && !self_check(tier))
     tier = SimdTier::kScalar;  // never run a kernel that diverges from scalar
   return tier;
 }
 
+namespace {
+std::optional<SimdTier> g_tier_cap;
+std::atomic<bool> g_tier_resolved{false};
+}  // namespace
+
+void cap_simd_tier(SimdTier cap) {
+  POD_CHECK(!g_tier_resolved.load());
+  g_tier_cap = cap;
+}
+
 SimdTier active_simd_tier() {
-  static const SimdTier tier = resolve_simd_tier_from_env();
+  static const SimdTier tier = [] {
+    g_tier_resolved.store(true);
+    return resolve_simd_tier(g_tier_cap);
+  }();
   return tier;
 }
 

@@ -6,8 +6,8 @@
 // SSE4.2 and AVX2 variants compiled with per-TU `target` attributes (no
 // global -mavx2 — the library stays runnable on any x86-64, and the
 // -mno-avx2 CI leg keeps the fallback honest). The active tier is resolved
-// once per process from CPUID, clamped by the POD_SIMD environment
-// override (scalar | sse | avx2), and verified on first use: each
+// once per process from CPUID, capped by the program's cap_simd_tier()
+// call if it made one, and verified on first use: each
 // vectorized kernel is cross-checked against the scalar reference on a
 // deterministic pattern, and a mismatch demotes the process to scalar
 // rather than silently diverging. All variants compute bit-identical
@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 namespace pod {
 
@@ -27,16 +28,19 @@ const char* to_string(SimdTier tier);
 /// Highest tier the CPU supports (CPUID, cached).
 SimdTier max_hw_simd_tier();
 
-/// The tier kernels actually dispatch to: hardware clamped by POD_SIMD
-/// (scalar | sse | avx2), self-checked against scalar on first call.
+/// The tier kernels actually dispatch to: the hardware maximum, capped by
+/// cap_simd_tier(), self-checked against scalar on first call.
 SimdTier active_simd_tier();
 
-/// Re-parses POD_SIMD from the current environment and re-runs the
-/// self-check — the uncached computation behind active_simd_tier(). Test
-/// hook for the env-override contract (unrecognized values warn and fall
-/// back to hardware auto-detection); production callers want the cached
-/// active_simd_tier().
-SimdTier resolve_simd_tier_from_env();
+/// Caps the process's tier at `cap` (still clamped to the hardware). A
+/// program-level choice: call it once in main, before any kernel runs;
+/// calling it after the tier has resolved fails a POD_CHECK.
+void cap_simd_tier(SimdTier cap);
+
+/// The uncached computation behind active_simd_tier(): the hardware
+/// maximum, capped by `cap` when given, demoted to scalar if the self-check
+/// fails. Test hook; production callers want active_simd_tier().
+SimdTier resolve_simd_tier(std::optional<SimdTier> cap);
 
 // ---- xx64 bulk fingerprinting ----------------------------------------
 //
@@ -92,7 +96,7 @@ RabinScanResult rabin_scan_tier(SimdTier tier, const std::uint8_t* data,
 // 7-bit tag and for empties, returning one bit per lane. Used by the flat
 // maps' group probes as the wide continuation after the first (inline,
 // SSE2-baseline) 16-lane group finds neither the tag nor an empty. Like
-// every other kernel here it is runtime-dispatched, POD_SIMD-clamped, and
+// every other kernel here it is runtime-dispatched, tier-capped, and
 // first-use self-checked against the scalar reference; a divergence
 // demotes the process to scalar, which also disables the wide groups.
 

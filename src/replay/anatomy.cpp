@@ -1,11 +1,8 @@
 #include "replay/anatomy.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/check.hpp"
-#include "common/logging.hpp"
 
 namespace pod {
 
@@ -27,30 +24,6 @@ LatencyAnatomy::LatencyAnatomy(const Config& cfg) : cfg_(cfg) {
   if (cfg_.bucketed)
     for (LatencyRecorder& r : comp_) r.set_bucketed();
   tail_.reserve(cfg_.tail_k);
-}
-
-std::unique_ptr<LatencyAnatomy> LatencyAnatomy::from_env() {
-  Config cfg;
-  bool enabled = false;
-  if (const char* env = std::getenv("POD_ANATOMY"))
-    enabled = std::strcmp(env, "0") != 0;
-  if (const char* env = std::getenv("POD_TAIL_ANATOMY")) {
-    char* end = nullptr;
-    const long k = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || k < 0) {
-      POD_LOG_WARN("anatomy: ignoring malformed POD_TAIL_ANATOMY=\"%s\" "
-                   "(want a non-negative integer); keeping K=%zu",
-                   env, cfg.tail_k);
-      enabled = true;
-    } else {
-      cfg.tail_k = static_cast<std::size_t>(k);
-      enabled = true;
-    }
-  }
-  if (const char* env = std::getenv("POD_ANATOMY_BUCKETS"))
-    cfg.bucketed = std::strcmp(env, "0") != 0;
-  if (!enabled) return nullptr;
-  return std::make_unique<LatencyAnatomy>(cfg);
 }
 
 AnatomyResult::StreamStats& LatencyAnatomy::stream_slot(std::uint32_t stream) {

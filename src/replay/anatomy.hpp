@@ -157,11 +157,6 @@ class LatencyAnatomy {
 
   explicit LatencyAnatomy(const Config& cfg);
 
-  /// Builds a collector from POD_ANATOMY / POD_TAIL_ANATOMY /
-  /// POD_ANATOMY_BUCKETS, or null when neither enabling variable is set.
-  /// POD_TAIL_ANATOMY=K implies attribution on with a K-entry tail ring.
-  static std::unique_ptr<LatencyAnatomy> from_env();
-
   // ---- hand-off registers (see file comment) --------------------------
   void publish_disk_op(const LatBreakdown& b) { disk_reg_ = b; }
   const LatBreakdown& disk_op() const { return disk_reg_; }

@@ -49,8 +49,7 @@ std::vector<ReplayResult> ParallelRunner::run(
   std::vector<ReplayResult> results(items.size());
   std::vector<std::exception_ptr> errors(items.size());
 
-  // Clamp to [1, items]: a ParallelRunner(0) — e.g. a caller forwarding a
-  // user-supplied POD_JOBS without validation — must degrade to serial
+  // Clamp to [1, items]: a ParallelRunner(0) must degrade to serial
   // execution, not submit work to a pool that nothing drains.
   std::size_t jobs = jobs_ > items.size() ? items.size() : jobs_;
   if (jobs == 0) jobs = 1;
@@ -58,11 +57,7 @@ std::vector<ReplayResult> ParallelRunner::run(
   for (std::size_t i = 0; i < items.size(); ++i) {
     pool.submit([&, i] {
       try {
-        results[i] =
-            pipeline_.has_value()
-                ? run_replay(items[i].spec, *items[i].trace,
-                             AdmissionMode::kStreaming, *pipeline_)
-                : run_replay(items[i].spec, *items[i].trace);
+        results[i] = run_replay(items[i].spec, *items[i].trace);
       } catch (...) {
         errors[i] = std::current_exception();
       }

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 
 #include "common/check.hpp"
-#include "common/logging.hpp"
 #include "common/resource.hpp"
 #include "common/spsc_ring.hpp"
 #include "engines/full_dedupe.hpp"
@@ -21,31 +19,6 @@
 #include "telemetry/telemetry.hpp"
 
 namespace pod {
-
-PipelineConfig PipelineConfig::from_env() {
-  PipelineConfig cfg;
-  // Default: on when a second hardware thread exists to host the prepare
-  // stage; on a single-core host the pipeline only adds context switches.
-  cfg.enabled = std::thread::hardware_concurrency() >= 2;
-  if (const char* env = std::getenv("POD_PIPELINE"))
-    cfg.enabled = env[0] != '0';
-  if (const char* env = std::getenv("POD_PIPELINE_DEPTH")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0') {
-      POD_LOG_WARN("replay: ignoring malformed POD_PIPELINE_DEPTH=\"%s\" "
-                   "(want an integer in [1, 1024]); keeping depth %zu",
-                   env, cfg.depth);
-    } else {
-      const long clamped = std::clamp(v, 1L, 1024L);
-      if (clamped != v)
-        POD_LOG_WARN("replay: POD_PIPELINE_DEPTH=%ld out of [1, 1024], "
-                     "clamping to %ld", v, clamped);
-      cfg.depth = static_cast<std::size_t>(clamped);
-    }
-  }
-  return cfg;
-}
 
 namespace {
 
@@ -399,29 +372,34 @@ std::unique_ptr<DedupEngine> make_engine(Simulator& sim, Volume& volume,
 }
 
 ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
-                        AdmissionMode mode) {
-  return run_replay(spec, trace, mode, PipelineConfig::from_env());
+                        AdmissionMode mode, const PipelineConfig& pipeline) {
+  RunSpec with_pipeline = spec;
+  with_pipeline.pipeline = pipeline;
+  return run_replay(with_pipeline, trace, mode);
 }
 
 ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
-                        AdmissionMode mode, const PipelineConfig& pipeline) {
+                        AdmissionMode mode) {
   Simulator sim;
-  // Built (or skipped) from POD_TRACE_EVENTS / POD_TELEMETRY_CSV; attached
-  // before the volume so member disks observe it from their first op.
-  std::unique_ptr<Telemetry> telemetry =
-      Telemetry::from_env(trace.name + "-" + to_string(spec.engine));
+  // Null when no sink is configured, which keeps the disabled path free;
+  // attached before the volume so member disks observe it from their
+  // first op.
+  std::unique_ptr<Telemetry> telemetry;
+  if (spec.telemetry.any())
+    telemetry = std::make_unique<Telemetry>(
+        spec.telemetry, trace.name + "-" + to_string(spec.engine));
   sim.set_telemetry(telemetry.get());
-  // Latency attribution (POD_ANATOMY / POD_TAIL_ANATOMY): per-run like
-  // telemetry, so ParallelRunner workers never share a collector.
-  std::unique_ptr<LatencyAnatomy> anatomy = LatencyAnatomy::from_env();
+  // Latency attribution: per-run like telemetry, so ParallelRunner workers
+  // never share a collector.
+  std::unique_ptr<LatencyAnatomy> anatomy;
+  if (spec.anatomy) anatomy = std::make_unique<LatencyAnatomy>(*spec.anatomy);
   sim.set_anatomy(anatomy.get());
   std::unique_ptr<Volume> volume = make_volume(sim, spec);
   std::unique_ptr<DedupEngine> engine = make_engine(sim, *volume, spec);
   if (telemetry && telemetry->sampler() != nullptr)
     register_sampler_probes(*telemetry->sampler(), *volume, *engine);
 
-  Replayer replayer(mode);
-  replayer.set_pipeline(pipeline);
+  Replayer replayer(mode, spec.pipeline);
   ReplayResult result = replayer.replay(sim, *engine, trace);
   result.peak_rss_bytes = current_peak_rss_bytes();
 

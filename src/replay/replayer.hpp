@@ -4,13 +4,16 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "engines/engine.hpp"
 #include "engines/pod_engine.hpp"
 #include "engines/post_process.hpp"
 #include "raid/volume.hpp"
+#include "replay/anatomy.hpp"
 #include "replay/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/request.hpp"
 
 namespace pod {
@@ -41,21 +44,16 @@ enum class AdmissionMode {
 /// every result byte is identical with the pipeline on or off.
 struct PipelineConfig {
   bool enabled = false;
-  /// Ring capacity in prepared batches (POD_PIPELINE_DEPTH).
+  /// Ring capacity in prepared batches.
   std::size_t depth = 8;
-
-  /// POD_PIPELINE=0/1 forces the pipeline off/on; unset enables it when
-  /// the host has a second hardware thread to run the prepare stage on.
-  /// POD_PIPELINE_DEPTH overrides the ring depth (clamped to [1, 1024]).
-  static PipelineConfig from_env();
 };
 
 class Replayer {
  public:
-  explicit Replayer(AdmissionMode mode = AdmissionMode::kStreaming)
-      : mode_(mode), pipeline_(PipelineConfig::from_env()) {}
+  explicit Replayer(AdmissionMode mode = AdmissionMode::kStreaming,
+                    const PipelineConfig& pipeline = {})
+      : mode_(mode), pipeline_(pipeline) {}
 
-  /// Overrides the env-derived pipeline setting (tests force both paths).
   void set_pipeline(const PipelineConfig& p) { pipeline_ = p; }
   const PipelineConfig& pipeline() const { return pipeline_; }
 
@@ -94,6 +92,11 @@ struct RunSpec {
   ArrayConfig array_cfg;  // disk_geometry.total_blocks is sized automatically
   PodEngineOptions pod;
   PostProcessOptions post_process;
+  /// Execution settings; none of them changes a result byte.
+  PipelineConfig pipeline;
+  TelemetryConfig telemetry;  // sinks off unless a path is set
+  /// Per-request latency attribution; nullopt = off.
+  std::optional<LatencyAnatomy::Config> anatomy;
 };
 
 /// Builds the volume for a spec (disk sizes derived from the engine's
@@ -105,10 +108,10 @@ std::unique_ptr<DedupEngine> make_engine(Simulator& sim, Volume& volume,
                                          const RunSpec& spec);
 
 /// One-stop: fresh simulator + volume + engine, replay, return results.
-/// The pipeline setting comes from the environment (PipelineConfig::
-/// from_env) unless the explicit-override form is used.
+/// Telemetry and latency anatomy are attached per run as `spec` asks.
 ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
                         AdmissionMode mode = AdmissionMode::kStreaming);
+/// As above, with `pipeline` in place of spec.pipeline.
 ReplayResult run_replay(const RunSpec& spec, const Trace& trace,
                         AdmissionMode mode, const PipelineConfig& pipeline);
 

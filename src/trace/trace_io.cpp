@@ -16,18 +16,13 @@ namespace pod {
 
 namespace {
 
-// v1: per-request records with inline fingerprints (read-compatibility).
-constexpr char kBinaryMagicV1[8] = {'P', 'O', 'D', 'T', 'R', 'C', '0', '1'};
-// v2: structure-of-arrays — fixed-size request records followed by one
-// contiguous fingerprint blob, loaded straight into the trace arena.
-constexpr char kBinaryMagicV2[8] = {'P', 'O', 'D', 'T', 'R', 'C', '0', '2'};
-// v3: the v2 layout prefixed with a u64 FNV-1a checksum of every body byte
-// after the checksum field. Detects silent cache-file corruption (the trace
-// cache falls back to regeneration on mismatch). v1/v2 stay readable.
-constexpr char kBinaryMagicV3[8] = {'P', 'O', 'D', 'T', 'R', 'C', '0', '3'};
-// v4: v3 plus a u32 stream (tenant) id per request record. Older files
-// (v1-v3) stay readable and load with stream 0.
-constexpr char kBinaryMagicV4[8] = {'P', 'O', 'D', 'T', 'R', 'C', '0', '4'};
+// PODTRC04: a u64 FNV-1a checksum of every body byte after the checksum
+// field, then structure-of-arrays — fixed-size request records followed by
+// one contiguous fingerprint blob, loaded straight into the trace arena.
+// The checksum detects silent cache-file corruption (the trace cache falls
+// back to regeneration on mismatch). The binary form is a regenerable
+// cache, so older versions (PODTRC01-03) are rejected rather than read.
+constexpr char kBinaryMagic[8] = {'P', 'O', 'D', 'T', 'R', 'C', '0', '4'};
 
 /// Streaming FNV-1a accumulator: both the writer and the reader feed the
 /// body byte sequences through this in identical order, so the stored and
@@ -43,17 +38,9 @@ struct BodyChecksum {
   }
 };
 
-/// Fixed-size on-disk request record of the v2/v3 formats.
+/// Fixed-size on-disk request record.
 #pragma pack(push, 1)
 struct DiskRecord {
-  SimTime arrival;
-  std::uint8_t type;
-  Lba lba;
-  std::uint32_t nblocks;
-  std::uint32_t nfp;
-};
-/// v4 record: v2/v3 plus the stream id.
-struct DiskRecordV4 {
   SimTime arrival;
   std::uint8_t type;
   Lba lba;
@@ -62,8 +49,7 @@ struct DiskRecordV4 {
   std::uint32_t nfp;
 };
 #pragma pack(pop)
-static_assert(sizeof(DiskRecord) == 25);
-static_assert(sizeof(DiskRecordV4) == 29);
+static_assert(sizeof(DiskRecord) == 29);
 
 std::string hex16(std::uint64_t v) {
   static constexpr char kHex[] = "0123456789abcdef";
@@ -119,47 +105,10 @@ OpType op_from_byte(std::uint8_t b) {
   return static_cast<OpType>(b);
 }
 
-/// v1 body: per-request records with inline fingerprint bytes.
-Trace read_trace_binary_v1(std::istream& in) {
-  Trace trace;
-  const auto name_len = read_pod<std::uint32_t>(in);
-  trace.name.resize(name_len);
-  in.read(trace.name.data(), name_len);
-  const auto count = read_pod<std::uint64_t>(in);
-  trace.warmup_count = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  if (trace.warmup_count > count) throw std::runtime_error("bad warmup count");
-  trace.requests.reserve(count);
-  std::vector<Fingerprint> scratch;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    IoRequest r;
-    r.id = i;
-    r.arrival = read_pod<SimTime>(in);
-    r.type = op_from_byte(read_pod<std::uint8_t>(in));
-    r.lba = read_pod<Lba>(in);
-    r.nblocks = read_pod<std::uint32_t>(in);
-    const auto nfp = read_pod<std::uint32_t>(in);
-    scratch.clear();
-    scratch.reserve(nfp);
-    for (std::uint32_t c = 0; c < nfp; ++c) {
-      std::array<std::uint8_t, Fingerprint::kSize> bytes{};
-      in.read(reinterpret_cast<char*>(bytes.data()), bytes.size());
-      if (!in) throw std::runtime_error("truncated binary trace");
-      Fingerprint fp;
-      static_assert(sizeof(Fingerprint) == Fingerprint::kSize);
-      std::memcpy(&fp, bytes.data(), bytes.size());
-      scratch.push_back(fp);
-    }
-    trace.append(r, scratch);
-  }
-  return trace;
-}
-
-/// v2/v3/v4 body: bulk-read request records (`Record` selects the layout),
-/// then the fingerprint arena in one contiguous read; spans are assigned by
-/// walking per-request counts. When `ck` is non-null (v3/v4), every body
-/// byte is fed through it in read order.
-template <typename Record>
-Trace read_trace_binary_v2(std::istream& in, BodyChecksum* ck = nullptr) {
+/// Body: bulk-read request records, then the fingerprint arena in one
+/// contiguous read; spans are assigned by walking per-request counts. Every
+/// body byte is fed through `ck` in read order.
+Trace read_trace_body(std::istream& in, BodyChecksum& ck) {
   Trace trace;
   const auto name_len = read_pod<std::uint32_t>(in);
   if (name_len > (1u << 20))
@@ -170,13 +119,11 @@ Trace read_trace_binary_v2(std::istream& in, BodyChecksum* ck = nullptr) {
   const auto count = read_pod<std::uint64_t>(in);
   trace.warmup_count = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
   const auto total_fps = read_pod<std::uint64_t>(in);
-  if (ck != nullptr) {
-    ck->feed_pod(name_len);
-    ck->feed(trace.name.data(), name_len);
-    ck->feed_pod(count);
-    ck->feed_pod(static_cast<std::uint64_t>(trace.warmup_count));
-    ck->feed_pod(total_fps);
-  }
+  ck.feed_pod(name_len);
+  ck.feed(trace.name.data(), name_len);
+  ck.feed_pod(count);
+  ck.feed_pod(static_cast<std::uint64_t>(trace.warmup_count));
+  ck.feed_pod(total_fps);
   if (trace.warmup_count > count) throw std::runtime_error("bad warmup count");
 
   // Bound the bulk allocations by the bytes actually left in the stream —
@@ -189,36 +136,36 @@ Trace read_trace_binary_v2(std::istream& in, BodyChecksum* ck = nullptr) {
     if (end_pos != std::istream::pos_type(-1)) {
       const auto remaining =
           static_cast<std::uint64_t>(end_pos - body_pos);
-      if (count > remaining / sizeof(Record) ||
+      if (count > remaining / sizeof(DiskRecord) ||
           total_fps > remaining / sizeof(Fingerprint))
         throw std::runtime_error("truncated binary trace");
     }
   }
 
-  std::vector<Record> records(count);
+  std::vector<DiskRecord> records(count);
   in.read(reinterpret_cast<char*>(records.data()),
-          static_cast<std::streamsize>(count * sizeof(Record)));
+          static_cast<std::streamsize>(count * sizeof(DiskRecord)));
   if (!in) throw std::runtime_error("truncated binary trace");
-  if (ck != nullptr) ck->feed(records.data(), count * sizeof(Record));
+  ck.feed(records.data(), count * sizeof(DiskRecord));
 
   trace.arena().reserve(total_fps);
   const std::span<Fingerprint> arena = trace.arena().alloc(total_fps);
   in.read(reinterpret_cast<char*>(arena.data()),
           static_cast<std::streamsize>(arena.size_bytes()));
   if (!in) throw std::runtime_error("truncated binary trace");
-  if (ck != nullptr) ck->feed(arena.data(), arena.size_bytes());
+  ck.feed(arena.data(), arena.size_bytes());
 
   trace.requests.reserve(count);
   std::uint64_t offset = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    const Record& rec = records[i];
+    const DiskRecord& rec = records[i];
     IoRequest r;
     r.id = i;
     r.arrival = rec.arrival;
     r.type = op_from_byte(rec.type);
     r.lba = rec.lba;
     r.nblocks = rec.nblocks;
-    if constexpr (requires { rec.stream; }) r.stream = rec.stream;
+    r.stream = rec.stream;
     if (r.nblocks == 0) throw std::runtime_error("zero-length request");
     if (r.is_write() && rec.nfp != rec.nblocks)
       throw std::runtime_error("write fingerprint count != nblocks");
@@ -318,12 +265,12 @@ void write_trace_binary(std::ostream& out, const Trace& trace) {
   std::uint64_t total_fps = 0;
   for (const IoRequest& r : trace.requests) total_fps += r.chunks.size();
 
-  std::vector<DiskRecordV4> records;
+  std::vector<DiskRecord> records;
   records.reserve(trace.requests.size());
   for (const IoRequest& r : trace.requests) {
-    records.push_back(DiskRecordV4{r.arrival, static_cast<std::uint8_t>(r.type),
-                                   r.lba, r.nblocks, r.stream,
-                                   static_cast<std::uint32_t>(r.chunks.size())});
+    records.push_back(DiskRecord{r.arrival, static_cast<std::uint8_t>(r.type),
+                                 r.lba, r.nblocks, r.stream,
+                                 static_cast<std::uint32_t>(r.chunks.size())});
   }
 
   // Checksum the body without buffering it: feed exactly the byte sequence
@@ -334,11 +281,11 @@ void write_trace_binary(std::ostream& out, const Trace& trace) {
   ck.feed_pod(count);
   ck.feed_pod(warmup);
   ck.feed_pod(total_fps);
-  ck.feed(records.data(), records.size() * sizeof(DiskRecordV4));
+  ck.feed(records.data(), records.size() * sizeof(DiskRecord));
   for (const IoRequest& r : trace.requests)
     ck.feed(r.chunks.data(), r.chunks.size_bytes());
 
-  out.write(kBinaryMagicV4, sizeof(kBinaryMagicV4));
+  out.write(kBinaryMagic, sizeof(kBinaryMagic));
   write_pod(out, ck.h);
   write_pod(out, name_len);
   out.write(trace.name.data(), name_len);
@@ -346,8 +293,7 @@ void write_trace_binary(std::ostream& out, const Trace& trace) {
   write_pod(out, warmup);
   write_pod(out, total_fps);
   out.write(reinterpret_cast<const char*>(records.data()),
-            static_cast<std::streamsize>(records.size() *
-                                         sizeof(DiskRecordV4)));
+            static_cast<std::streamsize>(records.size() * sizeof(DiskRecord)));
   // Fingerprint blob, in request order (== arena order for traces built
   // append-only, but written from the spans so any layout serializes
   // correctly).
@@ -360,28 +306,13 @@ void write_trace_binary(std::ostream& out, const Trace& trace) {
 Trace read_trace_binary(std::istream& in) {
   char magic[8];
   in.read(magic, sizeof(magic));
-  if (!in) throw std::runtime_error("not a pod binary trace");
-  if (std::memcmp(magic, kBinaryMagicV4, sizeof(magic)) == 0) {
-    const auto stored = read_pod<std::uint64_t>(in);
-    BodyChecksum ck;
-    Trace trace = read_trace_binary_v2<DiskRecordV4>(in, &ck);
-    if (ck.h != stored)
-      throw std::runtime_error("binary trace checksum mismatch");
-    return trace;
-  }
-  if (std::memcmp(magic, kBinaryMagicV3, sizeof(magic)) == 0) {
-    const auto stored = read_pod<std::uint64_t>(in);
-    BodyChecksum ck;
-    Trace trace = read_trace_binary_v2<DiskRecord>(in, &ck);
-    if (ck.h != stored)
-      throw std::runtime_error("binary trace checksum mismatch");
-    return trace;
-  }
-  if (std::memcmp(magic, kBinaryMagicV2, sizeof(magic)) == 0)
-    return read_trace_binary_v2<DiskRecord>(in);
-  if (std::memcmp(magic, kBinaryMagicV1, sizeof(magic)) == 0)
-    return read_trace_binary_v1(in);
-  throw std::runtime_error("not a pod binary trace");
+  if (!in || std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0)
+    throw std::runtime_error("not a pod binary trace");
+  const auto stored = read_pod<std::uint64_t>(in);
+  BodyChecksum ck;
+  Trace trace = read_trace_body(in, ck);
+  if (ck.h != stored) throw std::runtime_error("binary trace checksum mismatch");
+  return trace;
 }
 
 namespace {

@@ -1,7 +1,6 @@
-// FlatLruMap must be a drop-in for LruMap: this file mirrors
-// lru_cache_test.cpp case for case, then adds coverage for the flat
-// layout's own hazards (slot recycling, backward-shift deletion, pointer
-// stability across index-table growth).
+// FlatLruMap's LRU contract (promotion, eviction order, resize, iteration
+// order), then coverage for the flat layout's own hazards (slot recycling,
+// backward-shift deletion, pointer stability across index-table growth).
 #include "cache/flat_lru_map.hpp"
 
 #include <gtest/gtest.h>

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
+#include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -70,22 +73,28 @@ TEST(ThreadPool, DestructorDrainsQueue) {
   EXPECT_EQ(count.load(), 50);
 }
 
+std::size_t hardware_threads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
+}
+
+// POD_JOBS, the replay fan-out, is parsed by the knob parser and capped at
+// the hardware thread count.
 TEST(ThreadPool, JobsFromEnvParsesPositive) {
-  setenv("POD_JOBS", "3", 1);
-  EXPECT_EQ(ThreadPool::jobs_from_env(8), 3u);
-  unsetenv("POD_JOBS");
+  EXPECT_EQ(parse_options({{"POD_JOBS", "3"}}).jobs,
+            std::min<std::size_t>(3, hardware_threads()));
+  EXPECT_EQ(parse_options({{"POD_JOBS", "100000"}}).jobs, hardware_threads());
 }
 
 TEST(ThreadPool, JobsFromEnvFallsBack) {
-  unsetenv("POD_JOBS");
-  EXPECT_EQ(ThreadPool::jobs_from_env(8), 8u);
-  setenv("POD_JOBS", "0", 1);
-  EXPECT_EQ(ThreadPool::jobs_from_env(8), 8u);
-  setenv("POD_JOBS", "junk", 1);
-  EXPECT_EQ(ThreadPool::jobs_from_env(8), 8u);
-  unsetenv("POD_JOBS");
-  // Default fallback is the hardware concurrency, at least 1.
-  EXPECT_GE(ThreadPool::jobs_from_env(), 1u);
+  // Unset or empty: the hardware concurrency, at least 1.
+  EXPECT_EQ(parse_options({}).jobs, hardware_threads());
+  EXPECT_EQ(parse_options({{"POD_JOBS", ""}}).jobs, hardware_threads());
+  EXPECT_GE(parse_options({}).jobs, 1u);
+  // Zero, negative and junk values are rejected, not silently replaced.
+  for (const char* bad : {"0", "-2", "junk"})
+    EXPECT_THROW(parse_options({{"POD_JOBS", bad}}), std::invalid_argument)
+        << bad;
 }
 
 }  // namespace

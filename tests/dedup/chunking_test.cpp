@@ -1,10 +1,9 @@
-// ChunkingConfig env parsing, the expected-chunk-size derivation, and the
+// ChunkingConfig defaults, the expected-chunk-size derivation, and the
 // unified Chunker facade's dispatch.
 #include "dedup/chunking.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -14,73 +13,10 @@
 namespace pod {
 namespace {
 
-/// Scoped env var: sets on construction, restores on destruction.
-class EnvVar {
- public:
-  EnvVar(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    if (value != nullptr)
-      setenv(name, value, 1);
-    else
-      unsetenv(name);
-  }
-  ~EnvVar() {
-    if (had_)
-      setenv(name_, old_.c_str(), 1);
-    else
-      unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  bool had_;
-  std::string old_;
-};
-
 TEST(ChunkingConfig, DefaultsToFixed) {
-  EnvVar mode("POD_CHUNKING", nullptr);
-  const ChunkingConfig cfg = ChunkingConfig::from_env();
+  const ChunkingConfig cfg;
   EXPECT_EQ(cfg.mode, ChunkingMode::kFixed);
   EXPECT_EQ(cfg.fixed_size, kBlockSize);
-}
-
-TEST(ChunkingConfig, CdcFromEnv) {
-  EnvVar mode("POD_CHUNKING", "cdc");
-  const ChunkingConfig cfg = ChunkingConfig::from_env();
-  EXPECT_EQ(cfg.mode, ChunkingMode::kCdc);
-}
-
-TEST(ChunkingConfig, UnknownModeFallsBackToFixed) {
-  EnvVar mode("POD_CHUNKING", "banana");
-  EXPECT_EQ(ChunkingConfig::from_env().mode, ChunkingMode::kFixed);
-}
-
-TEST(ChunkingConfig, CdcKnobsParsedAndValid) {
-  EnvVar mode("POD_CHUNKING", "cdc");
-  EnvVar min("POD_CDC_MIN", "4096");
-  EnvVar avg("POD_CDC_AVG", "8192");
-  EnvVar max("POD_CDC_MAX", "32768");
-  const ChunkingConfig cfg = ChunkingConfig::from_env();
-  EXPECT_EQ(cfg.rabin.min_chunk, 4096u);
-  EXPECT_EQ(cfg.rabin.max_chunk, 32768u);
-  // avg - min = 4096 = 2^12.
-  EXPECT_EQ(cfg.rabin.mask_bits, 12u);
-  // Must construct without tripping RabinChunker's invariants.
-  RabinChunker chunker(cfg.rabin);
-  EXPECT_EQ(cfg.expected_chunk_bytes(), 4096u + 4096u);
-}
-
-TEST(ChunkingConfig, MalformedAndInconsistentKnobsClampNotCrash) {
-  EnvVar mode("POD_CHUNKING", "cdc");
-  EnvVar min("POD_CDC_MIN", "potato");   // malformed → default
-  EnvVar avg("POD_CDC_AVG", "1");        // below min → clamped up
-  EnvVar max("POD_CDC_MAX", "2");        // below avg → clamped up
-  const ChunkingConfig cfg = ChunkingConfig::from_env();
-  EXPECT_GE(cfg.rabin.min_chunk, cfg.rabin.window);
-  EXPECT_GT(cfg.rabin.max_chunk, cfg.rabin.min_chunk);
-  RabinChunker chunker(cfg.rabin);  // invariants hold
 }
 
 TEST(ChunkingConfig, RabinForExpectedSatisfiesInvariants) {

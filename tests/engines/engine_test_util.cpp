@@ -1,4 +1,5 @@
 #include "engine_test_util.hpp"
+#include "test_options.hpp"
 
 namespace pod::testutil {
 
@@ -35,7 +36,7 @@ IoRequest make_read(Lba lba, std::uint32_t nblocks, SimTime arrival) {
 }
 
 EngineHarness::EngineHarness(EngineKind kind, EngineConfig cfg, RaidLevel raid) {
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = kind;
   spec.raid = raid;
   spec.engine_cfg = cfg;

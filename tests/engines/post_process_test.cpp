@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "engine_test_util.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -79,7 +80,7 @@ TEST(PostProcess, ScanPassBounded) {
   opts.blocks_per_pass = 4;
   EngineConfig cfg = testutil::small_engine_config();
   Simulator sim;
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = EngineKind::kPostProcess;
   spec.engine_cfg = cfg;
   spec.post_process = opts;

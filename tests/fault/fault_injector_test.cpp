@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <vector>
 
+#include "test_options.hpp"
+
 namespace pod {
 namespace {
 
@@ -98,29 +100,24 @@ TEST(FaultInjector, DiskFailureTimeline) {
   EXPECT_FALSE(inj.disk_dead(2, ms(20)));
 }
 
+// The POD_FAULT_* knobs go through the knob parser: injection stays off
+// unless one of them is set.
 TEST(FaultInjector, FromEnvDisabledByDefault) {
-  unsetenv("POD_FAULT_SEED");
-  unsetenv("POD_FAULT_MEDIA_RATE");
-  unsetenv("POD_FAULT_TRANSIENT_RATE");
-  unsetenv("POD_FAULT_FAIL_DISK");
-  unsetenv("POD_FAULT_FAIL_AT_MS");
-  unsetenv("POD_FAULT_REBUILD");
-  EXPECT_FALSE(FaultConfig::from_env().enabled);
+  EXPECT_FALSE(parse_options({}).fault.enabled);
+  EXPECT_FALSE(parse_options({{"POD_FAULT_SEED", ""}}).fault.enabled);
+  EXPECT_TRUE(parse_options({{"POD_FAULT_REBUILD", "1"}}).fault.enabled);
 }
 
 TEST(FaultInjector, FromEnvParsesRatesAndFailure) {
-  setenv("POD_FAULT_MEDIA_RATE", "0.001", 1);
-  setenv("POD_FAULT_FAIL_DISK", "1", 1);
-  setenv("POD_FAULT_FAIL_AT_MS", "250", 1);
-  const FaultConfig cfg = FaultConfig::from_env();
-  unsetenv("POD_FAULT_MEDIA_RATE");
-  unsetenv("POD_FAULT_FAIL_DISK");
-  unsetenv("POD_FAULT_FAIL_AT_MS");
-
+  const FaultConfig cfg = parse_options({{"POD_FAULT_MEDIA_RATE", "0.001"},
+                                         {"POD_FAULT_FAIL_DISK", "1"},
+                                         {"POD_FAULT_FAIL_AT_MS", "250"}})
+                              .fault;
   EXPECT_TRUE(cfg.enabled);
   EXPECT_DOUBLE_EQ(cfg.media_error_rate, 0.001);
   EXPECT_EQ(cfg.fail_disk, 1u);
   EXPECT_EQ(cfg.fail_at, ms(250));
+  EXPECT_EQ(cfg.seed, FaultConfig{}.seed);
 }
 
 TEST(FaultInjector, StatusCombineIsWorstOf) {

@@ -12,6 +12,7 @@
 
 #include "replay/replayer.hpp"
 #include "synth/generator.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -24,7 +25,7 @@ Trace small_trace() {
 }
 
 RunSpec base_spec(EngineKind kind) {
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = kind;
   spec.raid = RaidLevel::kRaid5;
   spec.engine_cfg.logical_blocks = tiny_test_profile().volume_blocks;

@@ -5,15 +5,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
-#include <string>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "dedup/rabin_chunker.hpp"
 #include "hash/hash_engine.hpp"
 #include "hash/xx64.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -42,37 +42,36 @@ TEST(SimdDispatch, TierNamesRoundTrip) {
   EXPECT_STREQ(to_string(SimdTier::kAvx2), "avx2");
 }
 
-// POD_SIMD contract (parity with the POD_PIPELINE_DEPTH clamp): recognized
-// values select (hardware-clamped) tiers; anything else warns and falls
-// back to auto-detection, exactly as if the variable were unset.
-TEST(SimdDispatch, EnvOverrideParsesAndRejectsGarbage) {
-  const char* saved = std::getenv("POD_SIMD");
-  const std::string saved_copy = saved ? saved : "";
-
-  const auto tier_for = [](const char* value) {
-    setenv("POD_SIMD", value, 1);
-    return resolve_simd_tier_from_env();
-  };
-
-  unsetenv("POD_SIMD");
-  const SimdTier auto_tier = resolve_simd_tier_from_env();
-
-  EXPECT_EQ(tier_for("scalar"), SimdTier::kScalar);
+// A tier cap selects that tier, clamped to the hardware; no cap means the
+// hardware maximum (each after the scalar self-check).
+TEST(SimdDispatch, CapSelectsHardwareClampedTier) {
   const SimdTier hw = max_hw_simd_tier();
-  EXPECT_EQ(tier_for("sse"),
+  EXPECT_EQ(resolve_simd_tier(SimdTier::kScalar), SimdTier::kScalar);
+  EXPECT_EQ(resolve_simd_tier(SimdTier::kSse42),
             hw >= SimdTier::kSse42 ? SimdTier::kSse42 : SimdTier::kScalar);
-  EXPECT_LE(static_cast<int>(tier_for("avx2")), static_cast<int>(hw));
-  // Malformed: warn, then behave exactly like an unset variable.
-  EXPECT_EQ(tier_for("fast"), auto_tier);
-  EXPECT_EQ(tier_for("AVX2"), auto_tier);  // values are case-sensitive
-  EXPECT_EQ(tier_for("sse42"), auto_tier);
-  EXPECT_EQ(tier_for(""), auto_tier);
-  EXPECT_EQ(tier_for("2"), auto_tier);
+  EXPECT_LE(static_cast<int>(resolve_simd_tier(SimdTier::kAvx2)),
+            static_cast<int>(hw));
+  EXPECT_EQ(resolve_simd_tier(std::nullopt), resolve_simd_tier(hw));
+}
 
-  if (saved)
-    setenv("POD_SIMD", saved_copy.c_str(), 1);
-  else
-    unsetenv("POD_SIMD");
+// POD_SIMD names a tier cap (values are case-sensitive); empty means unset,
+// and anything else is rejected before any work starts.
+TEST(SimdDispatch, EnvOverrideParsesAndRejectsGarbage) {
+  EXPECT_EQ(parse_options({{"POD_SIMD", "scalar"}}).simd, SimdTier::kScalar);
+  EXPECT_EQ(parse_options({{"POD_SIMD", "sse"}}).simd, SimdTier::kSse42);
+  EXPECT_EQ(parse_options({{"POD_SIMD", "avx2"}}).simd, SimdTier::kAvx2);
+  EXPECT_FALSE(parse_options({}).simd.has_value());
+  EXPECT_FALSE(parse_options({{"POD_SIMD", ""}}).simd.has_value());
+  for (const char* bad : {"fast", "AVX2", "sse42", "2"})
+    EXPECT_THROW(parse_options({{"POD_SIMD", bad}}), std::invalid_argument)
+        << bad;
+}
+
+// POD_SIMD reaches the dispatcher through the shared test main, so the
+// -mno-avx2 CI leg really runs its suites on the forced tier (unset: the
+// hardware maximum).
+TEST(SimdDispatch, ActiveTierHonoursTheSuiteCap) {
+  EXPECT_EQ(active_simd_tier(), resolve_simd_tier(test_options().simd));
 }
 
 // 32-lane control-byte scan: the AVX2 kernel must agree bit-for-bit with

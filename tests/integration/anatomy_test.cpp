@@ -10,37 +10,15 @@
 //   * the tail ring retains the K slowest requests, sorted, decomposed.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "replay/replayer.hpp"
 #include "synth/generator.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
-
-/// Sets an environment variable for one scope, restoring on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_ = old != nullptr;
-    if (had_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) ::setenv(name_, old_.c_str(), 1);
-    else ::unsetenv(name_);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::string old_;
-  bool had_ = false;
-};
 
 Trace small_trace() {
   WorkloadProfile p = tiny_test_profile();
@@ -50,11 +28,17 @@ Trace small_trace() {
 }
 
 RunSpec base_spec(EngineKind kind) {
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = kind;
   spec.raid = RaidLevel::kRaid5;
   spec.engine_cfg.logical_blocks = tiny_test_profile().volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;
+  return spec;
+}
+
+/// `spec` with latency attribution switched on.
+RunSpec with_anatomy(RunSpec spec, const LatencyAnatomy::Config& cfg = {}) {
+  spec.anatomy = cfg;
   return spec;
 }
 
@@ -98,14 +82,15 @@ void expect_anatomy_invariants(const ReplayResult& r) {
 }
 
 TEST(Anatomy, DisabledByDefault) {
-  const ReplayResult r =
-      run_replay(base_spec(EngineKind::kNative), small_trace());
+  EXPECT_FALSE(RunSpec{}.anatomy.has_value());
+  RunSpec spec = base_spec(EngineKind::kNative);
+  spec.anatomy.reset();
+  const ReplayResult r = run_replay(spec, small_trace());
   EXPECT_FALSE(r.anatomy.enabled);
   EXPECT_EQ(r.anatomy.requests, 0u);
 }
 
 TEST(Anatomy, SumInvariantPerEngine) {
-  ScopedEnv on("POD_ANATOMY", "1");
   const Trace trace = small_trace();
   const std::vector<EngineKind> kinds = {
       EngineKind::kNative,       EngineKind::kFullDedupe,
@@ -114,7 +99,7 @@ TEST(Anatomy, SumInvariantPerEngine) {
       EngineKind::kPostProcess};
   for (EngineKind kind : kinds) {
     SCOPED_TRACE(to_string(kind));
-    const ReplayResult r = run_replay(base_spec(kind), trace);
+    const ReplayResult r = run_replay(with_anatomy(base_spec(kind)), trace);
     expect_anatomy_invariants(r);
     // No faults injected: nothing may be charged to the fault ladder or to
     // reconstruction.
@@ -125,9 +110,8 @@ TEST(Anatomy, SumInvariantPerEngine) {
 }
 
 TEST(Anatomy, SumInvariantWithFaultRetries) {
-  ScopedEnv on("POD_ANATOMY", "1");
   const Trace trace = small_trace();
-  RunSpec spec = base_spec(EngineKind::kSelectDedupe);
+  RunSpec spec = with_anatomy(base_spec(EngineKind::kSelectDedupe));
   spec.array_cfg.fault.enabled = true;
   spec.array_cfg.fault.seed = 99;
   spec.array_cfg.fault.transient_rate = 0.05;
@@ -139,13 +123,12 @@ TEST(Anatomy, SumInvariantWithFaultRetries) {
 }
 
 TEST(Anatomy, SumInvariantDegradedRaid) {
-  ScopedEnv on("POD_ANATOMY", "1");
   const Trace trace = small_trace();
   // Baseline run to size fail_at mid-replay.
-  const ReplayResult clean = run_replay(base_spec(EngineKind::kNative), trace);
+  RunSpec spec = with_anatomy(base_spec(EngineKind::kNative));
+  const ReplayResult clean = run_replay(spec, trace);
   expect_anatomy_invariants(clean);
 
-  RunSpec spec = base_spec(EngineKind::kNative);
   spec.array_cfg.fault.enabled = true;
   spec.array_cfg.fault.fail_disk = 1;
   spec.array_cfg.fault.fail_at = clean.makespan / 4;
@@ -157,9 +140,8 @@ TEST(Anatomy, SumInvariantDegradedRaid) {
 }
 
 TEST(Anatomy, SumInvariantWithPipelineOnAndOff) {
-  ScopedEnv on("POD_ANATOMY", "1");
   const Trace trace = small_trace();
-  const RunSpec spec = base_spec(EngineKind::kSelectDedupe);
+  const RunSpec spec = with_anatomy(base_spec(EngineKind::kSelectDedupe));
   PipelineConfig off;
   PipelineConfig pipe;
   pipe.enabled = true;
@@ -180,12 +162,10 @@ TEST(Anatomy, ReplayByteIdenticalOnOrOff) {
                                          EngineKind::kPod};
   for (EngineKind kind : kinds) {
     SCOPED_TRACE(to_string(kind));
-    const ReplayResult off = run_replay(base_spec(kind), trace);
-    ReplayResult with;
-    {
-      ScopedEnv on("POD_ANATOMY", "1");
-      with = run_replay(base_spec(kind), trace);
-    }
+    RunSpec spec = base_spec(kind);
+    spec.anatomy.reset();
+    const ReplayResult off = run_replay(spec, trace);
+    const ReplayResult with = run_replay(with_anatomy(spec), trace);
     EXPECT_FALSE(off.anatomy.enabled);
     EXPECT_TRUE(with.anatomy.enabled);
     EXPECT_EQ(off.all.count(), with.all.count());
@@ -201,12 +181,12 @@ TEST(Anatomy, ReplayByteIdenticalOnOrOff) {
 }
 
 TEST(Anatomy, PerStreamAccountingSplitsByStreamId) {
-  ScopedEnv on("POD_ANATOMY", "1");
   Trace trace = small_trace();
   // Tag the trace with three tenants round-robin.
   for (IoRequest& r : trace.requests)
     r.stream = static_cast<std::uint32_t>(r.id % 3);
-  const ReplayResult r = run_replay(base_spec(EngineKind::kFullDedupe), trace);
+  const ReplayResult r =
+      run_replay(with_anatomy(base_spec(EngineKind::kFullDedupe)), trace);
   expect_anatomy_invariants(r);
   ASSERT_EQ(r.anatomy.streams.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -216,10 +196,9 @@ TEST(Anatomy, PerStreamAccountingSplitsByStreamId) {
 }
 
 TEST(Anatomy, TailRingRetainsSlowestSorted) {
-  ScopedEnv on("POD_ANATOMY", "1");
-  ScopedEnv k("POD_TAIL_ANATOMY", "4");
   const Trace trace = small_trace();
-  const ReplayResult r = run_replay(base_spec(EngineKind::kNative), trace);
+  const ReplayResult r = run_replay(
+      with_anatomy(base_spec(EngineKind::kNative), {.tail_k = 4}), trace);
   expect_anatomy_invariants(r);
   const AnatomyResult& a = r.anatomy;
   EXPECT_EQ(a.tail_k, 4u);
@@ -237,17 +216,9 @@ TEST(Anatomy, TailRingRetainsSlowestSorted) {
 TEST(Anatomy, BucketedModeKeepsInvariantsAndApproximatesPercentiles) {
   const Trace trace = small_trace();
   const RunSpec spec = base_spec(EngineKind::kSelectDedupe);
-  ReplayResult exact;
-  {
-    ScopedEnv on("POD_ANATOMY", "1");
-    exact = run_replay(spec, trace);
-  }
-  ReplayResult bucketed;
-  {
-    ScopedEnv on("POD_ANATOMY", "1");
-    ScopedEnv b("POD_ANATOMY_BUCKETS", "1");
-    bucketed = run_replay(spec, trace);
-  }
+  const ReplayResult exact = run_replay(with_anatomy(spec), trace);
+  const ReplayResult bucketed =
+      run_replay(with_anatomy(spec, {.bucketed = true}), trace);
   expect_anatomy_invariants(exact);
   expect_anatomy_invariants(bucketed);
   EXPECT_FALSE(exact.anatomy.comp[0].bucketed());

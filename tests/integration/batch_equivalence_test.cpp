@@ -9,6 +9,7 @@
 
 #include "replay/replayer.hpp"
 #include "synth/generator.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -23,7 +24,7 @@ Trace small_trace(std::size_t measured = 2000) {
 enum class ProbeMode { kScalar, kBatch, kFused };
 
 RunSpec spec_for(EngineKind kind, ProbeMode mode) {
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = kind;
   spec.engine_cfg.logical_blocks = tiny_test_profile().volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;

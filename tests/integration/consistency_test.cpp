@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "replay/replayer.hpp"
 #include "synth/generator.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -26,7 +27,7 @@ TEST_P(EngineConsistency, EveryLbaResolvesToLastWrittenContent) {
   const Trace trace = TraceGenerator(p).generate();
 
   Simulator sim;
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = GetParam();
   spec.engine_cfg.logical_blocks = p.volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;
@@ -36,7 +37,7 @@ TEST_P(EngineConsistency, EveryLbaResolvesToLastWrittenContent) {
   // Oracle: last content written per LBA.
   std::unordered_map<Lba, Fingerprint> oracle;
 
-  Replayer replayer;
+  Replayer replayer(AdmissionMode::kStreaming, spec.pipeline);
   (void)replayer.replay(sim, *engine, trace);
   for (const IoRequest& r : trace.requests) {
     if (!r.is_write()) continue;
@@ -67,13 +68,13 @@ TEST_P(EngineConsistency, RefcountsMatchLiveMappings) {
   const Trace trace = TraceGenerator(p).generate();
 
   Simulator sim;
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = GetParam();
   spec.engine_cfg.logical_blocks = p.volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;
   auto volume = make_volume(sim, spec);
   auto engine = make_engine(sim, *volume, spec);
-  Replayer replayer;
+  Replayer replayer(AdmissionMode::kStreaming, spec.pipeline);
   (void)replayer.replay(sim, *engine, trace);
 
   const BlockStore& store = engine->store();

@@ -6,6 +6,7 @@
 
 #include "replay/replayer.hpp"
 #include "synth/generator.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -20,7 +21,7 @@ class CrossEngine : public ::testing::Test {
     for (EngineKind k :
          {EngineKind::kNative, EngineKind::kFullDedupe, EngineKind::kIDedup,
           EngineKind::kSelectDedupe, EngineKind::kPod, EngineKind::kIoDedup}) {
-      RunSpec spec;
+      RunSpec spec = test_spec();
       spec.engine = k;
       spec.engine_cfg.logical_blocks = p.volume_blocks;
       spec.engine_cfg.memory_bytes = 2 * kMiB;

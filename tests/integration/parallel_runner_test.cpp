@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "synth/generator.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -23,7 +24,7 @@ Trace small_trace() {
 }
 
 RunSpec small_spec(EngineKind kind) {
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = kind;
   spec.engine_cfg.logical_blocks = tiny_test_profile().volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;

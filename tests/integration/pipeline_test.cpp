@@ -4,12 +4,12 @@
 // pipeline on or off — for every engine, and regardless of ring depth.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "replay/parallel_runner.hpp"
 #include "replay/replayer.hpp"
 #include "synth/generator.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -22,7 +22,7 @@ Trace small_trace() {
 }
 
 RunSpec spec_for(EngineKind kind) {
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = kind;
   spec.engine_cfg.logical_blocks = tiny_test_profile().volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;
@@ -139,51 +139,23 @@ TEST(ReplayPipeline, RejectsUnorderedTraceLikeSerial) {
 // thread; results must match the serial single-job run for every engine.
 TEST(ReplayPipeline, IdenticalUnderParallelJobs) {
   const Trace t = small_trace();
-  std::vector<ParallelRunner::RunItem> items;
-  for (EngineKind kind : kAllEngines) items.push_back({spec_for(kind), &t});
+  std::vector<ParallelRunner::RunItem> serial_items;
+  std::vector<ParallelRunner::RunItem> piped_items;
+  for (EngineKind kind : kAllEngines) {
+    RunSpec spec = spec_for(kind);
+    spec.pipeline = pipeline_off();
+    serial_items.push_back({spec, &t});
+    spec.pipeline = pipeline_on();
+    piped_items.push_back({spec, &t});
+  }
 
-  ParallelRunner one_job(1);
-  one_job.set_pipeline(pipeline_off());
-  ParallelRunner four_jobs(4);
-  four_jobs.set_pipeline(pipeline_on());
-
-  const std::vector<ReplayResult> serial = one_job.run(items);
-  const std::vector<ReplayResult> piped = four_jobs.run(items);
+  const std::vector<ReplayResult> serial = ParallelRunner(1).run(serial_items);
+  const std::vector<ReplayResult> piped = ParallelRunner(4).run(piped_items);
   ASSERT_EQ(serial.size(), piped.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE(to_string(items[i].spec.engine));
+    SCOPED_TRACE(to_string(serial_items[i].spec.engine));
     expect_identical(serial[i], piped[i]);
   }
-}
-
-// POD_PIPELINE_DEPTH parsing: out-of-range values clamp to [1, 1024],
-// malformed values are ignored (both with a logged warning, not silence),
-// and well-formed values pass through.
-TEST(ReplayPipeline, DepthFromEnvClampsAndRejectsGarbage) {
-  const char* saved = std::getenv("POD_PIPELINE_DEPTH");
-  const std::string saved_copy = saved ? saved : "";
-
-  const auto depth_for = [](const char* value) {
-    setenv("POD_PIPELINE_DEPTH", value, 1);
-    return PipelineConfig::from_env().depth;
-  };
-
-  EXPECT_EQ(depth_for("16"), 16u);
-  EXPECT_EQ(depth_for("1"), 1u);
-  EXPECT_EQ(depth_for("1024"), 1024u);
-  EXPECT_EQ(depth_for("0"), 1u);        // clamped up
-  EXPECT_EQ(depth_for("-5"), 1u);       // clamped up
-  EXPECT_EQ(depth_for("99999"), 1024u); // clamped down
-  // Malformed: keep the default depth instead of clamping garbage.
-  const std::size_t def = PipelineConfig{}.depth;
-  EXPECT_EQ(depth_for("fast"), def);
-  EXPECT_EQ(depth_for("12abc"), def);
-  EXPECT_EQ(depth_for(""), def);
-
-  if (saved)
-    setenv("POD_PIPELINE_DEPTH", saved_copy.c_str(), 1);
-  else
-    unsetenv("POD_PIPELINE_DEPTH");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "raid/raid5.hpp"
 #include "replay/replayer.hpp"
 #include "synth/generator.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -165,7 +166,7 @@ TEST_P(ThresholdSweep, RemovalAndCapacityBehaveMonotonically) {
   const Trace trace = TraceGenerator(p).generate();
 
   auto run_with_threshold = [&](std::size_t threshold) {
-    RunSpec spec;
+    RunSpec spec = test_spec();
     spec.engine = EngineKind::kSelectDedupe;
     spec.engine_cfg.logical_blocks = p.volume_blocks;
     spec.engine_cfg.memory_bytes = 2 * kMiB;
@@ -175,7 +176,7 @@ TEST_P(ThresholdSweep, RemovalAndCapacityBehaveMonotonically) {
 
   const ReplayResult at = run_with_threshold(GetParam());
   const ReplayResult native = [&] {
-    RunSpec spec;
+    RunSpec spec = test_spec();
     spec.engine = EngineKind::kNative;
     spec.engine_cfg.logical_blocks = p.volume_blocks;
     spec.engine_cfg.memory_bytes = 2 * kMiB;
@@ -208,7 +209,7 @@ TEST_P(MemorySweep, DetectionImprovesWithMemory) {
   p.warmup_requests = 2000;
   const Trace trace = TraceGenerator(p).generate();
 
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = EngineKind::kSelectDedupe;
   spec.engine_cfg.logical_blocks = p.volume_blocks;
 

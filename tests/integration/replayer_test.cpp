@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "synth/generator.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -15,7 +16,7 @@ Trace tiny_trace() {
 }
 
 RunSpec tiny_spec(EngineKind kind) {
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = kind;
   spec.engine_cfg.logical_blocks = tiny_test_profile().volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;

@@ -6,6 +6,7 @@
 
 #include "replay/replayer.hpp"
 #include "synth/generator.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -18,7 +19,7 @@ Trace small_trace() {
 }
 
 RunSpec spec_for(EngineKind kind) {
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = kind;
   spec.engine_cfg.logical_blocks = tiny_test_profile().volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;

@@ -8,7 +8,6 @@
 //   * per-run file suffixing keeps parallel runs from sharing sinks.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -22,6 +21,7 @@
 #include "synth/generator.hpp"
 #include "telemetry/telemetry.hpp"
 #include "test_json.hpp"
+#include "test_options.hpp"
 
 namespace pod {
 namespace {
@@ -44,29 +44,29 @@ Trace small_trace(std::size_t measured = 1500) {
 }
 
 RunSpec spec_for(EngineKind kind) {
-  RunSpec spec;
+  RunSpec spec = test_spec();
   spec.engine = kind;
   spec.engine_cfg.logical_blocks = tiny_test_profile().volume_blocks;
   spec.engine_cfg.memory_bytes = 2 * kMiB;
   return spec;
 }
 
-/// Scoped POD_* telemetry environment pointing into a fresh temp dir.
-class TelemetryEnv {
+/// Both telemetry sinks pointed into a fresh temp dir for one scope.
+class TelemetryDir {
  public:
-  explicit TelemetryEnv(const std::string& tag) {
+  explicit TelemetryDir(const std::string& tag) {
     dir_ = testing::TempDir() + "pod_telemetry_" + tag;
     fs::remove_all(dir_);
     fs::create_directories(dir_);
-    setenv("POD_TRACE_EVENTS", (dir_ + "/trace.json").c_str(), 1);
-    setenv("POD_TELEMETRY_CSV", (dir_ + "/series.csv").c_str(), 1);
-    setenv("POD_TELEMETRY_INTERVAL_MS", "50", 1);
   }
-  ~TelemetryEnv() {
-    unsetenv("POD_TRACE_EVENTS");
-    unsetenv("POD_TELEMETRY_CSV");
-    unsetenv("POD_TELEMETRY_INTERVAL_MS");
-    fs::remove_all(dir_);
+  ~TelemetryDir() { fs::remove_all(dir_); }
+
+  /// `spec` with both sinks on, sampling every 50 ms.
+  RunSpec sinks_on(RunSpec spec) const {
+    spec.telemetry.trace_events_path = dir_ + "/trace.json";
+    spec.telemetry.timeseries_path = dir_ + "/series.csv";
+    spec.telemetry.sample_interval = ms(50);
+    return spec;
   }
 
   std::vector<std::string> files_matching(const std::string& prefix) const {
@@ -92,11 +92,13 @@ TEST(TelemetryReplay, ResultsAreIdenticalWithTelemetryOnAndOff) {
   const Trace t = small_trace();
   for (EngineKind kind : kAllEngines) {
     SCOPED_TRACE(to_string(kind));
-    const ReplayResult off = run_replay(spec_for(kind), t);
+    RunSpec spec = spec_for(kind);
+    spec.telemetry = TelemetryConfig{};
+    const ReplayResult off = run_replay(spec, t);
     ReplayResult on;
     {
-      TelemetryEnv env(std::string("equiv_") + to_string(kind));
-      on = run_replay(spec_for(kind), t);
+      const TelemetryDir dir(std::string("equiv_") + to_string(kind));
+      on = run_replay(dir.sinks_on(spec), t);
     }
 
     // Latency recorders: identical sample streams.
@@ -138,8 +140,9 @@ TEST(TelemetryReplay, ResultsAreIdenticalWithTelemetryOnAndOff) {
 
 TEST(TelemetryReplay, TraceEventsCarrySpansLanesAndSamplerHasSchema) {
   const Trace t = small_trace();
-  TelemetryEnv env("outputs");
-  const ReplayResult r = run_replay(spec_for(EngineKind::kSelectDedupe), t);
+  const TelemetryDir env("outputs");
+  const ReplayResult r =
+      run_replay(env.sinks_on(spec_for(EngineKind::kSelectDedupe)), t);
   ASSERT_GT(r.all.count(), 0u);
 
   const std::vector<std::string> traces = env.files_matching("trace.");
@@ -251,9 +254,10 @@ TEST(TelemetryReplay, PodEmitsRepartitionInstantsWhenICacheAdapts) {
 
 TEST(TelemetryReplay, ParallelRunsGetDistinctSuffixedFiles) {
   const Trace t = small_trace(600);
-  TelemetryEnv env("parallel");
-  (void)run_replay(spec_for(EngineKind::kNative), t);
-  (void)run_replay(spec_for(EngineKind::kNative), t);
+  const TelemetryDir env("parallel");
+  const RunSpec spec = env.sinks_on(spec_for(EngineKind::kNative));
+  (void)run_replay(spec, t);
+  (void)run_replay(spec, t);
   // Same label twice: the process-wide run sequence still separates them.
   EXPECT_EQ(env.files_matching("trace.").size(), 2u);
   EXPECT_EQ(env.files_matching("series.").size(), 2u);

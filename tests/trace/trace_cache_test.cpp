@@ -120,20 +120,16 @@ TEST(TraceCache, BitFlippedEntryIsAMissThatRegenerates) {
 
   EXPECT_FALSE(try_load_cached_trace(dir, p).has_value());
 
-  ASSERT_EQ(setenv("POD_TRACE_CACHE", dir.c_str(), 1), 0);
-  const Trace regenerated = obtain_trace(p);
-  unsetenv("POD_TRACE_CACHE");
+  const Trace regenerated = obtain_trace(p, dir);
   expect_equal(regenerated, generated);
 }
 
 TEST(TraceCache, ObtainTracePopulatesAndHits) {
   const WorkloadProfile p = cache_profile();
   const std::string dir = fresh_dir("pod_cache_obtain");
-  ASSERT_EQ(setenv("POD_TRACE_CACHE", dir.c_str(), 1), 0);
-  const Trace first = obtain_trace(p);
+  const Trace first = obtain_trace(p, dir);
   EXPECT_TRUE(std::filesystem::exists(trace_cache_path(dir, p)));
-  const Trace second = obtain_trace(p);  // warm: loaded, not regenerated
-  unsetenv("POD_TRACE_CACHE");
+  const Trace second = obtain_trace(p, dir);  // warm: loaded, not regenerated
   expect_equal(first, second);
   expect_equal(first, TraceGenerator(p).generate());
 }
@@ -144,7 +140,7 @@ TEST(TraceCache, ObtainTracesParallelPreservesOrder) {
                                            cache_profile("gamma")};
   profiles[1].seed += 7;
   profiles[2].seed += 13;
-  const std::vector<Trace> parallel = obtain_traces(profiles, 3);
+  const std::vector<Trace> parallel = obtain_traces(profiles, 3, "");
   ASSERT_EQ(parallel.size(), profiles.size());
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     EXPECT_EQ(parallel[i].name, profiles[i].name);

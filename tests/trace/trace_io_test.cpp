@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
-#include "hash/fnv.hpp"
+#include "synth/generator.hpp"
+#include "trace/trace_cache.hpp"
 
 namespace pod {
 namespace {
@@ -143,60 +146,34 @@ TEST(TraceIo, BinaryDetectsSingleFlippedByte) {
   }
 }
 
-// Serializes `t` in the legacy v2/v3 body layout — 25-byte packed records
-// with no stream field — so the legacy readers stay covered now that the
-// writer emits v4 records.
-std::string legacy_v2_body(const Trace& t) {
-  std::string out;
-  const auto put = [&out](const void* p, std::size_t n) {
-    out.append(static_cast<const char*>(p), n);
-  };
-  const auto name_len = static_cast<std::uint32_t>(t.name.size());
-  put(&name_len, sizeof(name_len));
-  out.append(t.name);
-  const std::uint64_t count = t.requests.size();
-  put(&count, sizeof(count));
-  const std::uint64_t warmup = t.warmup_count;
-  put(&warmup, sizeof(warmup));
-  std::uint64_t total_fps = 0;
-  for (const IoRequest& r : t.requests) total_fps += r.chunks.size();
-  put(&total_fps, sizeof(total_fps));
-  for (const IoRequest& r : t.requests) {
-    put(&r.arrival, sizeof(r.arrival));
-    const auto type = static_cast<std::uint8_t>(r.type);
-    put(&type, sizeof(type));
-    put(&r.lba, sizeof(r.lba));
-    put(&r.nblocks, sizeof(r.nblocks));
-    const auto nfp = static_cast<std::uint32_t>(r.chunks.size());
-    put(&nfp, sizeof(nfp));
+TEST(TraceIo, BinaryRejectsLegacyVersionsSoTheCacheRegenerates) {
+  // Only PODTRC04 is read. An older cache entry fails like any non-trace
+  // file, so the trace cache treats it as a miss and regenerates it.
+  WorkloadProfile p = tiny_test_profile();
+  p.warmup_requests = 100;
+  p.measured_requests = 200;
+  const Trace generated = TraceGenerator(p).generate();
+  const std::string dir = testing::TempDir() + "/pod_trace_io_legacy";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(store_cached_trace(dir, p, generated));
+  const std::string path = trace_cache_path(dir, p);
+  for (const char* magic : {"PODTRC01", "PODTRC02", "PODTRC03"}) {
+    SCOPED_TRACE(magic);
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.write(magic, 8);
+    }
+    try {
+      (void)load_trace_binary(path);
+      ADD_FAILURE() << "legacy trace was read";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "not a pod binary trace");
+    }
+    EXPECT_FALSE(try_load_cached_trace(dir, p).has_value());
+    const Trace regenerated = obtain_trace(p, dir);
+    expect_equal(generated, regenerated);
+    EXPECT_EQ(regenerated.name, generated.name);
   }
-  for (const IoRequest& r : t.requests)
-    put(r.chunks.data(), r.chunks.size_bytes());
-  return out;
-}
-
-TEST(TraceIo, BinaryStillReadsLegacyV2) {
-  // A hand-built v2 stream (no checksum, no stream ids) must keep loading.
-  const Trace t = sample_trace();
-  std::stringstream in(std::string("PODTRC02") + legacy_v2_body(t));
-  const Trace back = read_trace_binary(in);
-  expect_equal(t, back);
-}
-
-TEST(TraceIo, BinaryStillReadsLegacyV3) {
-  // A hand-built v3 stream (checksummed v2 body) must keep loading, with
-  // every request on the default stream 0.
-  const Trace t = sample_trace();
-  const std::string body = legacy_v2_body(t);
-  const std::uint64_t ck = fnv1a64(
-      reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
-  std::string bytes = "PODTRC03";
-  bytes.append(reinterpret_cast<const char*>(&ck), sizeof(ck));
-  bytes += body;
-  std::stringstream in(bytes);
-  const Trace back = read_trace_binary(in);
-  expect_equal(t, back);
-  for (const IoRequest& r : back.requests) EXPECT_EQ(r.stream, 0u);
 }
 
 TEST(TraceIo, StreamIdRoundTripsBinaryAndCsv) {
