@@ -84,7 +84,7 @@ SweepResult run_point(const SweepPoint& point, const Corpus& corpus,
                       bool scalar_probes) {
   CdcConfig cfg;
   cfg.chunking = point.chunking;
-  cfg.hash.algo = HashEngineConfig::Algo::kXx64;  // SIMD bulk path
+  cfg.hash.algo = HashEngineConfig::Algo::kXx64;  // scalar xx64 per chunk
   // Capacity: every chunk unique, each block-rounded up. Blocks consumed
   // = sum ceil(size_i/4K) <= total/4K + chunk count, and chunk count is
   // bounded by total/min_chunk plus one short tail per object.

@@ -20,7 +20,6 @@
 #include "dedup/rabin_chunker.hpp"
 #include "disk/hdd_model.hpp"
 #include "hash/sha1.hpp"
-#include "hash/simd.hpp"
 #include "hash/xx64.hpp"
 #include "raid/raid5.hpp"
 #include "replay/replayer.hpp"
@@ -51,79 +50,46 @@ void BM_Xx64_4K(benchmark::State& state) {
 }
 BENCHMARK(BM_Xx64_4K);
 
-// Bulk fingerprinting of one write request's worth of chunks (16 x 4 KB,
-// contiguous) through the tier-dispatch entry. Scalar is the reference
-// loop; Simd runs the best tier the host supports (falls back to scalar on
-// pre-AVX2 machines, so the pair's ratio reads 1.0 there, not garbage).
-// CI compares the two throughputs as the SIMD regression tripwire.
-void BM_Fingerprint_Tier(benchmark::State& state, SimdTier tier) {
+// Fingerprinting of one write request's worth of chunks (16 x 4 KB,
+// contiguous) through HashEngine's xx64 mode, one chunk at a time.
+void BM_Fingerprint(benchmark::State& state) {
   constexpr std::size_t kChunks = 16;
   std::vector<std::uint8_t> data(kChunks * kBlockSize);
   Rng rng(10);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
-  std::uint64_t out[kChunks];
+  HashEngineConfig cfg;
+  cfg.algo = HashEngineConfig::Algo::kXx64;
+  const HashEngine engine(cfg);
   for (auto _ : state) {
-    xx64_bulk_tier(tier, data.data(), kBlockSize, kBlockSize, kChunks, 0, out);
-    benchmark::DoNotOptimize(out);
+    for (std::size_t i = 0; i < kChunks; ++i)
+      benchmark::DoNotOptimize(
+          engine.fingerprint({data.data() + i * kBlockSize, kBlockSize}));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data.size()));
-  state.SetLabel(to_string(tier == SimdTier::kScalar ? SimdTier::kScalar
-                                                     : max_hw_simd_tier()));
 }
-void BM_Fingerprint_Scalar(benchmark::State& state) {
-  BM_Fingerprint_Tier(state, SimdTier::kScalar);
-}
-BENCHMARK(BM_Fingerprint_Scalar);
-void BM_Fingerprint_Simd(benchmark::State& state) {
-  BM_Fingerprint_Tier(state, max_hw_simd_tier());
-}
-BENCHMARK(BM_Fingerprint_Simd);
+BENCHMARK(BM_Fingerprint);
 
-// The Rabin boundary scan over a 64 KB buffer, via the same tier hook the
-// chunker dispatches through. Mirrors RabinChunker's inner loop: restart
-// after each boundary with a freshly primed window, mask picked for ~4 KB
-// average chunks so each scan covers thousands of positions.
-void BM_Chunker_Tier(benchmark::State& state, SimdTier tier) {
-  constexpr std::size_t kWindow = 48;
-  constexpr std::uint64_t kPoly = 0x3D4A5C3098AEF791ULL;
-  constexpr std::uint64_t kMask = (1ULL << 12) - 1;
-  std::uint64_t push[256], pop[256];
-  std::uint64_t pow_w1 = 1;
-  for (std::size_t i = 0; i + 1 < kWindow; ++i) pow_w1 *= kPoly;
-  for (int b = 0; b < 256; ++b) {
-    push[b] = (static_cast<std::uint64_t>(b) + 1) * 0x9E3779B97F4A7C15ULL;
-    pop[b] = push[b] * pow_w1;
-  }
+// Content-defined chunking of a 64 KB buffer with the default Rabin config
+// (~6 KB average chunks): the boundary scan plus one xx64 per chunk.
+void BM_Chunker(benchmark::State& state) {
   std::vector<std::uint8_t> data(64 * 1024);
   Rng rng(13);
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  HashEngineConfig cfg;
+  cfg.algo = HashEngineConfig::Algo::kXx64;
+  const HashEngine engine(cfg);
+  const RabinChunker chunker;
+  std::vector<DataChunk> chunks;
   for (auto _ : state) {
-    std::size_t pos = kWindow;
-    while (pos < data.size()) {
-      std::uint64_t h = 0;
-      for (std::size_t i = pos - kWindow; i < pos; ++i)
-        h = h * kPoly + push[data[i]];
-      const RabinScanResult r = rabin_scan_tier(
-          tier, data.data(), pos, data.size(), kWindow, h, kMask, kPoly,
-          push, pop);
-      benchmark::DoNotOptimize(r.h);
-      pos = r.pos + kWindow;  // next scan primes behind the new start
-    }
+    chunker.chunk_into(data, engine, chunks);
+    benchmark::DoNotOptimize(chunks.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data.size()));
-  state.SetLabel(to_string(tier == SimdTier::kScalar ? SimdTier::kScalar
-                                                     : max_hw_simd_tier()));
 }
-void BM_Chunker_Scalar(benchmark::State& state) {
-  BM_Chunker_Tier(state, SimdTier::kScalar);
-}
-BENCHMARK(BM_Chunker_Scalar);
-void BM_Chunker_Simd(benchmark::State& state) {
-  BM_Chunker_Tier(state, max_hw_simd_tier());
-}
-BENCHMARK(BM_Chunker_Simd);
+BENCHMARK(BM_Chunker);
 
 void BM_FingerprintOfContentId(benchmark::State& state) {
   std::uint64_t id = 0;

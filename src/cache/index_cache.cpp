@@ -149,18 +149,19 @@ void IndexCache::insert_batch(const Fingerprint* fps, const Pba* pbas,
       ghost_.prefetch(fp);
     });
   }
-  evicted_fp_scratch_.clear();
+  evicted_fps_scratch_.clear();
   evicted_entry_scratch_.clear();
   entries_.put_batch(fps, value_scratch_.data(), n,
                      [this](const Fingerprint& evicted, IndexEntry&& entry) {
-                       evicted_fp_scratch_.push_back(evicted);
+                       evicted_fps_scratch_.push_back(evicted);
                        evicted_entry_scratch_.push_back(entry);
                      });
-  if (evicted_fp_scratch_.empty()) return;
-  ghost_.remember_batch(evicted_fp_scratch_.data(), evicted_fp_scratch_.size());
+  if (evicted_fps_scratch_.empty()) return;
+  ghost_.remember_batch(evicted_fps_scratch_.data(),
+                        evicted_fps_scratch_.size());
   if (evict_hook) {
-    for (std::size_t i = 0; i < evicted_fp_scratch_.size(); ++i)
-      evict_hook(evicted_fp_scratch_[i], evicted_entry_scratch_[i]);
+    for (std::size_t i = 0; i < evicted_fps_scratch_.size(); ++i)
+      evict_hook(evicted_fps_scratch_[i], evicted_entry_scratch_[i]);
   }
 }
 

@@ -172,7 +172,7 @@ class IndexCache {
   std::vector<Tag> tag_scratch_;
   // insert_batch staging (evictions deferred past the put_batch).
   std::vector<IndexEntry> value_scratch_;
-  std::vector<Fingerprint> evicted_fp_scratch_;
+  std::vector<Fingerprint> evicted_fps_scratch_;
   std::vector<IndexEntry> evicted_entry_scratch_;
 };
 

@@ -21,9 +21,9 @@
 // ISA layering: the 16-lane first group uses SSE2 directly (SSE2 is part
 // of the x86-64 baseline ABI — like memcmp's vectorization it needs no
 // dispatch; a portable scalar fallback covers non-x86 builds). The 32-lane
-// continuation groups for long displacement clusters go through the
-// runtime-dispatched, POD_SIMD-clamped, self-checked AVX2 kernel in
-// hash/simd.* — callers pass `wide = pod::wide_ctrl_groups()` cached at
+// continuation groups for long displacement clusters go through the one
+// runtime-dispatched kernel in hash/simd.* (AVX2, POD_SIMD-capped,
+// self-checked) — callers pass `wide = pod::wide_ctrl_groups()` cached at
 // table-build time.
 //
 // Wraparound: tables mirror the first kCtrlPad control bytes past the end

@@ -34,8 +34,8 @@ bool CdcStore::ingest(std::span<const std::uint8_t> object) {
   for (const DataChunk& c : chunk_scratch_) need += bytes_to_blocks(c.size);
   if (cursor_ + need > store_.logical_blocks()) return false;
 
-  fp_scratch_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) fp_scratch_[i] = chunk_scratch_[i].fp;
+  fps_scratch_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) fps_scratch_[i] = chunk_scratch_[i].fp;
 
   // Phase 1: all index probes up front. The bulk path pipelines the
   // dependent cache misses behind prefetches; the scalar path issues the
@@ -43,9 +43,9 @@ bool CdcStore::ingest(std::span<const std::uint8_t> object) {
   if (!cfg_.scalar_probes) {
     hit_scratch_.resize(n);
     if (cfg_.fused_probes)
-      index_.lookup_fused({fp_scratch_.data(), n}, hit_scratch_.data());
+      index_.lookup_fused({fps_scratch_.data(), n}, hit_scratch_.data());
     else
-      index_.lookup_batch({fp_scratch_.data(), n}, hit_scratch_.data());
+      index_.lookup_batch({fps_scratch_.data(), n}, hit_scratch_.data());
   }
 
   // Phase 2: place or dedup every chunk. No index mutations happen here,
@@ -55,7 +55,7 @@ bool CdcStore::ingest(std::span<const std::uint8_t> object) {
   stage_pbas_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const DataChunk& c = chunk_scratch_[i];
-    const Fingerprint& fp = fp_scratch_[i];
+    const Fingerprint& fp = fps_scratch_[i];
     const auto nblocks = static_cast<std::uint32_t>(bytes_to_blocks(c.size));
 
     const IndexEntry* e;

@@ -106,7 +106,7 @@ class CdcStore {
   CdcStats stats_;
   // Per-object scratch (capacity reaches the largest object and stays).
   std::vector<DataChunk> chunk_scratch_;
-  std::vector<Fingerprint> fp_scratch_;
+  std::vector<Fingerprint> fps_scratch_;
   std::vector<const IndexEntry*> hit_scratch_;
   std::vector<Fingerprint> stage_fps_;
   std::vector<Pba> stage_pbas_;

@@ -1,5 +1,7 @@
 #include "dedup/chunker.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace pod {
@@ -11,37 +13,20 @@ FixedChunker::FixedChunker(std::size_t chunk_size) : chunk_size_(chunk_size) {
 std::vector<DataChunk> FixedChunker::chunk(std::span<const std::uint8_t> data,
                                            const HashEngine& engine) const {
   std::vector<DataChunk> chunks;
-  FixedChunker scratch(chunk_size_);  // keep this overload const
-  scratch.chunk_into(data, engine, chunks);
+  chunk_into(data, engine, chunks);
   return chunks;
 }
 
 void FixedChunker::chunk_into(std::span<const std::uint8_t> data,
                               const HashEngine& engine,
-                              std::vector<DataChunk>& out) {
+                              std::vector<DataChunk>& out) const {
   out.clear();
   out.reserve(data.size() / chunk_size_ + 1);
-
-  // Full-size chunks go through the bulk fingerprint path (SIMD-capable for
-  // the xx64 algorithm); only a short final chunk is hashed individually.
-  const std::size_t full = data.size() / chunk_size_;
-  if (full > 0) {
-    if (fp_scratch_.size() < full) fp_scratch_.resize(full);
-    engine.fingerprint_bulk(data.data(), chunk_size_, full, fp_scratch_.data());
-    for (std::size_t i = 0; i < full; ++i) {
-      DataChunk c;
-      c.offset = i * chunk_size_;
-      c.size = chunk_size_;
-      c.fp = fp_scratch_[i];
-      out.push_back(c);
-    }
-  }
-  const std::size_t tail_off = full * chunk_size_;
-  if (tail_off < data.size()) {
+  for (std::size_t off = 0; off < data.size(); off += chunk_size_) {
     DataChunk c;
-    c.offset = tail_off;
-    c.size = data.size() - tail_off;
-    c.fp = engine.fingerprint(data.subspan(tail_off, c.size));
+    c.offset = off;
+    c.size = std::min(chunk_size_, data.size() - off);  // last may be short
+    c.fp = engine.fingerprint(data.subspan(off, c.size));
     out.push_back(c);
   }
 }

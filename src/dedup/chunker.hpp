@@ -31,16 +31,15 @@ class FixedChunker {
                                const HashEngine& engine) const;
 
   /// Steady-state variant: clears and refills `out`, reusing its capacity
-  /// and an internal fingerprint scratch — the ingest hot loop allocates
-  /// nothing once buffers reach the largest object seen.
+  /// — the ingest hot loop allocates nothing once `out` reaches the largest
+  /// object seen.
   void chunk_into(std::span<const std::uint8_t> data, const HashEngine& engine,
-                  std::vector<DataChunk>& out);
+                  std::vector<DataChunk>& out) const;
 
   std::size_t chunk_size() const { return chunk_size_; }
 
  private:
   std::size_t chunk_size_;
-  std::vector<Fingerprint> fp_scratch_;
 };
 
 }  // namespace pod

@@ -41,7 +41,7 @@ Chunker::Chunker(const ChunkingConfig& cfg)
 
 void Chunker::chunk_into(std::span<const std::uint8_t> data,
                          const HashEngine& engine,
-                         std::vector<DataChunk>& out) {
+                         std::vector<DataChunk>& out) const {
   if (cfg_.mode == ChunkingMode::kCdc) {
     rabin_.chunk_into(data, engine, out);
   } else {

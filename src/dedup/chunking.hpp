@@ -2,9 +2,9 @@
 // content-defined (Rabin) chunkers.
 //
 // POD's block-level prototype is fixed-4KB (the paper's model); the CDC
-// mode opens the variable-size-chunk scenario on top of the runtime-
-// dispatched SIMD Rabin boundary scan. Callers pick the mode and chunk
-// sizes in ChunkingConfig (rabin_for_expected derives a Rabin config from
+// mode opens the variable-size-chunk scenario on top of the Rabin
+// rolling-hash boundary scan. Callers pick the mode and chunk sizes in
+// ChunkingConfig (rabin_for_expected derives a Rabin config from
 // a target average).
 #pragma once
 
@@ -47,7 +47,7 @@ class Chunker {
   /// Splits + fingerprints `data` into `out` (cleared first; capacity is
   /// reused, so the steady state allocates nothing).
   void chunk_into(std::span<const std::uint8_t> data, const HashEngine& engine,
-                  std::vector<DataChunk>& out);
+                  std::vector<DataChunk>& out) const;
 
   ChunkingMode mode() const { return cfg_.mode; }
   const ChunkingConfig& config() const { return cfg_; }

@@ -1,7 +1,8 @@
 #include "dedup/rabin_chunker.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
-#include "hash/simd.hpp"
 
 namespace pod {
 
@@ -55,13 +56,15 @@ void RabinChunker::chunk_into(std::span<const std::uint8_t> data,
       std::uint64_t h = 0;
       for (std::size_t i = pos - cfg_.window; i < pos; ++i)
         h = h * kPoly + push_table_[data[i]];
-      const std::size_t limit = start + std::min(remaining, cfg_.max_chunk);
-      // Boundary scan through the runtime-dispatched (scalar/SSE/AVX2)
-      // rolling-hash kernel; all tiers produce the identical cut.
-      const RabinScanResult scan =
-          rabin_scan(data.data(), pos, limit, cfg_.window, h, mask_, kPoly,
-                     push_table_, pop_table_);
-      if (scan.found) len = scan.pos - start;
+      // Roll the window forward until its hash matches the mask; with no
+      // match the cut stays at max_chunk (or the end of the data).
+      const std::size_t limit = start + len;
+      while ((h & mask_) != mask_ && pos < limit) {
+        h = (h - pop_table_[data[pos - cfg_.window]]) * kPoly +
+            push_table_[data[pos]];
+        ++pos;
+      }
+      len = pos - start;
     }
     DataChunk c;
     c.offset = start;

@@ -1,233 +1,14 @@
-// AVX2 variants of the SIMD kernels. Compiled with a per-function `target`
-// attribute so this TU builds under any global ISA flags (including the
-// -mno-avx2 CI leg); the dispatcher only calls in here after a CPUID check.
-//
-// Both kernels are plain 64-bit modular arithmetic evaluated four lanes at a
-// time. AVX2 has no 64x64->64 multiply (that is AVX-512 VPMULLQ), so it is
-// emulated from 32x32->64 partial products — bit-identical to scalar
-// multiplication mod 2^64, which is what makes the equality guarantee hold.
+// AVX2 variant of the control-byte group scan. Compiled with a per-function
+// `target` attribute so this TU builds under any global ISA flags (including
+// the -mno-avx2 CI leg); the dispatcher only calls in here after a CPUID
+// check.
 #include "hash/simd.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
 
-#include <cstring>
-
 namespace pod::detail {
-
-namespace {
-
-#define POD_AVX2 __attribute__((target("avx2"), always_inline)) inline
-
-constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
-constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
-constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
-constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
-constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
-
-inline std::uint64_t read64(const std::uint8_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
-inline std::uint32_t read32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-/// 64x64->64 multiply per lane: lo*lo + ((lo*hi + hi*lo) << 32) mod 2^64.
-POD_AVX2 __m256i mul64(__m256i a, __m256i b) {
-  const __m256i lo = _mm256_mul_epu32(a, b);  // lo32(a) * lo32(b), full 64
-  const __m256i ah = _mm256_srli_epi64(a, 32);
-  const __m256i bh = _mm256_srli_epi64(b, 32);
-  const __m256i cross =
-      _mm256_add_epi64(_mm256_mul_epu32(ah, b), _mm256_mul_epu32(a, bh));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-template <int K>
-POD_AVX2 __m256i rotl(__m256i x) {
-  return _mm256_or_si256(_mm256_slli_epi64(x, K), _mm256_srli_epi64(x, 64 - K));
-}
-
-POD_AVX2 __m256i round_step(__m256i acc, __m256i input, __m256i p1,
-                            __m256i p2) {
-  acc = _mm256_add_epi64(acc, mul64(input, p2));
-  return mul64(rotl<31>(acc), p1);
-}
-
-POD_AVX2 __m256i merge_round(__m256i acc, __m256i val, __m256i p1,
-                             __m256i p2, __m256i p4) {
-  val = round_step(_mm256_setzero_si256(), val, p1, p2);
-  acc = _mm256_xor_si256(acc, val);
-  return _mm256_add_epi64(mul64(acc, p1), p4);
-}
-
-/// Loads the same 8-byte offset from four parallel buffers into lanes 0..3.
-POD_AVX2 __m256i gather64(const std::uint8_t* p0, const std::uint8_t* p1,
-                          const std::uint8_t* p2, const std::uint8_t* p3,
-                          std::size_t off) {
-  return _mm256_set_epi64x(
-      static_cast<long long>(read64(p3 + off)),
-      static_cast<long long>(read64(p2 + off)),
-      static_cast<long long>(read64(p1 + off)),
-      static_cast<long long>(read64(p0 + off)));
-}
-
-/// xx64 of four equal-length buffers at once; identical control flow per
-/// lane because the lengths are equal.
-__attribute__((target("avx2"))) void xx64_x4(
-    const std::uint8_t* p0, const std::uint8_t* p1, const std::uint8_t* p2,
-    const std::uint8_t* p3, std::size_t len, std::uint64_t seed,
-    std::uint64_t* out) {
-  const __m256i vp1 = _mm256_set1_epi64x(static_cast<long long>(kPrime1));
-  const __m256i vp2 = _mm256_set1_epi64x(static_cast<long long>(kPrime2));
-  const __m256i vp3 = _mm256_set1_epi64x(static_cast<long long>(kPrime3));
-  const __m256i vp4 = _mm256_set1_epi64x(static_cast<long long>(kPrime4));
-  const __m256i vp5 = _mm256_set1_epi64x(static_cast<long long>(kPrime5));
-  const __m256i vseed = _mm256_set1_epi64x(static_cast<long long>(seed));
-
-  std::size_t off = 0;
-  __m256i h;
-  if (len >= 32) {
-    __m256i v1 = _mm256_add_epi64(vseed, _mm256_add_epi64(vp1, vp2));
-    __m256i v2 = _mm256_add_epi64(vseed, vp2);
-    __m256i v3 = vseed;
-    __m256i v4 = _mm256_sub_epi64(vseed, vp1);
-    do {
-      v1 = round_step(v1, gather64(p0, p1, p2, p3, off), vp1, vp2);
-      v2 = round_step(v2, gather64(p0, p1, p2, p3, off + 8), vp1, vp2);
-      v3 = round_step(v3, gather64(p0, p1, p2, p3, off + 16), vp1, vp2);
-      v4 = round_step(v4, gather64(p0, p1, p2, p3, off + 24), vp1, vp2);
-      off += 32;
-    } while (off + 32 <= len);
-    h = _mm256_add_epi64(
-        _mm256_add_epi64(rotl<1>(v1), rotl<7>(v2)),
-        _mm256_add_epi64(rotl<12>(v3), rotl<18>(v4)));
-    h = merge_round(h, v1, vp1, vp2, vp4);
-    h = merge_round(h, v2, vp1, vp2, vp4);
-    h = merge_round(h, v3, vp1, vp2, vp4);
-    h = merge_round(h, v4, vp1, vp2, vp4);
-  } else {
-    h = _mm256_add_epi64(vseed, vp5);
-  }
-
-  h = _mm256_add_epi64(h, _mm256_set1_epi64x(static_cast<long long>(len)));
-
-  while (off + 8 <= len) {
-    h = _mm256_xor_si256(
-        h, round_step(_mm256_setzero_si256(), gather64(p0, p1, p2, p3, off),
-                      vp1, vp2));
-    h = _mm256_add_epi64(mul64(rotl<27>(h), vp1), vp4);
-    off += 8;
-  }
-  if (off + 4 <= len) {
-    const __m256i w = _mm256_set_epi64x(
-        static_cast<long long>(read32(p3 + off)),
-        static_cast<long long>(read32(p2 + off)),
-        static_cast<long long>(read32(p1 + off)),
-        static_cast<long long>(read32(p0 + off)));
-    h = _mm256_xor_si256(h, mul64(w, vp1));
-    h = _mm256_add_epi64(mul64(rotl<23>(h), vp2), vp3);
-    off += 4;
-  }
-  while (off < len) {
-    const __m256i b = _mm256_set_epi64x(p3[off], p2[off], p1[off], p0[off]);
-    h = _mm256_xor_si256(h, mul64(b, vp5));
-    h = mul64(rotl<11>(h), vp1);
-    ++off;
-  }
-
-  h = _mm256_xor_si256(h, _mm256_srli_epi64(h, 33));
-  h = mul64(h, vp2);
-  h = _mm256_xor_si256(h, _mm256_srli_epi64(h, 29));
-  h = mul64(h, vp3);
-  h = _mm256_xor_si256(h, _mm256_srli_epi64(h, 32));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), h);
-}
-
-}  // namespace
-
-void xx64_bulk_avx2(const std::uint8_t* data, std::size_t stride,
-                    std::size_t len, std::size_t n, std::uint64_t seed,
-                    std::uint64_t* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const std::uint8_t* base = data + i * stride;
-    xx64_x4(base, base + stride, base + 2 * stride, base + 3 * stride, len,
-            seed, out + i);
-  }
-  if (i < n)
-    xx64_bulk_scalar(data + i * stride, stride, len, n - i, seed, out + i);
-}
-
-__attribute__((target("avx2"))) RabinScanResult rabin_scan_avx2(
-    const std::uint8_t* data, std::size_t pos, std::size_t limit,
-    std::size_t window, std::uint64_t h, std::uint64_t mask,
-    std::uint64_t poly, const std::uint64_t* push, const std::uint64_t* pop) {
-  const std::uint64_t k2 = poly * poly;
-  const std::uint64_t k3 = k2 * poly;
-  const std::uint64_t k4 = k2 * k2;
-  const __m256i vk = _mm256_set1_epi64x(static_cast<long long>(poly));
-  const __m256i vk2 = _mm256_set1_epi64x(static_cast<long long>(k2));
-  // Lane j holds poly^(j+1): the multiplier carrying h forward j+1 steps.
-  const __m256i vkpow =
-      _mm256_set_epi64x(static_cast<long long>(k4), static_cast<long long>(k3),
-                        static_cast<long long>(k2),
-                        static_cast<long long>(poly));
-  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
-  const __m256i zero = _mm256_setzero_si256();
-
-  for (;;) {
-    if ((h & mask) == mask) return {pos, h, true};
-    if (pos >= limit) return {pos, h, false};
-    if (pos + 4 > limit) {  // scalar tail: fewer than 4 positions left
-      h = (h - pop[data[pos - window]]) * poly + push[data[pos]];
-      ++pos;
-      continue;
-    }
-    // One roll step is h' = h * poly + d where d = push[in] - pop[out]*poly.
-    // Lane j then holds the hash after j+1 steps:
-    //   H[j] = h * poly^(j+1) + sum_{i<=j} d_i * poly^(j-i)
-    // with the inner prefix computed by a 2-level Kogge-Stone scan.
-    const std::uint64_t d0 =
-        push[data[pos]] - pop[data[pos - window]] * poly;
-    const std::uint64_t d1 =
-        push[data[pos + 1]] - pop[data[pos + 1 - window]] * poly;
-    const std::uint64_t d2 =
-        push[data[pos + 2]] - pop[data[pos + 2 - window]] * poly;
-    const std::uint64_t d3 =
-        push[data[pos + 3]] - pop[data[pos + 3 - window]] * poly;
-    __m256i p = _mm256_set_epi64x(
-        static_cast<long long>(d3), static_cast<long long>(d2),
-        static_cast<long long>(d1), static_cast<long long>(d0));
-    // Shift one lane up (zero fill), scale by poly, accumulate; then two
-    // lanes up scaled by poly^2. After both: p[j] = sum d_i poly^(j-i).
-    __m256i t = _mm256_blend_epi32(
-        _mm256_permute4x64_epi64(p, _MM_SHUFFLE(2, 1, 0, 0)), zero, 0x03);
-    p = _mm256_add_epi64(p, mul64(t, vk));
-    t = _mm256_blend_epi32(
-        _mm256_permute4x64_epi64(p, _MM_SHUFFLE(1, 0, 0, 0)), zero, 0x0F);
-    p = _mm256_add_epi64(p, mul64(t, vk2));
-    const __m256i vh = _mm256_add_epi64(
-        mul64(_mm256_set1_epi64x(static_cast<long long>(h)), vkpow), p);
-
-    const __m256i eq =
-        _mm256_cmpeq_epi64(_mm256_and_si256(vh, vmask), vmask);
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vh);
-    const int hits = _mm256_movemask_pd(_mm256_castsi256_pd(eq));
-    if (hits != 0) {
-      const int lane = __builtin_ctz(static_cast<unsigned>(hits));
-      return {pos + 1 + static_cast<std::size_t>(lane), lanes[lane], true};
-    }
-    h = lanes[3];
-    pos += 4;
-  }
-}
 
 __attribute__((target("avx2"))) CtrlMatch32 ctrl_match32_avx2(
     const std::uint8_t* ctrl, std::uint8_t tag) {
@@ -242,27 +23,11 @@ __attribute__((target("avx2"))) CtrlMatch32 ctrl_match32_avx2(
   return m;
 }
 
-#undef POD_AVX2
-
 }  // namespace pod::detail
 
-#else  // non-x86: forward to scalar so the symbols still link
+#else  // non-x86: forward to scalar so the symbol still links
 
 namespace pod::detail {
-
-void xx64_bulk_avx2(const std::uint8_t* data, std::size_t stride,
-                    std::size_t len, std::size_t n, std::uint64_t seed,
-                    std::uint64_t* out) {
-  xx64_bulk_scalar(data, stride, len, n, seed, out);
-}
-
-RabinScanResult rabin_scan_avx2(const std::uint8_t* data, std::size_t pos,
-                                std::size_t limit, std::size_t window,
-                                std::uint64_t h, std::uint64_t mask,
-                                std::uint64_t poly, const std::uint64_t* push,
-                                const std::uint64_t* pop) {
-  return rabin_scan_scalar(data, pos, limit, window, h, mask, poly, push, pop);
-}
 
 CtrlMatch32 ctrl_match32_avx2(const std::uint8_t* ctrl, std::uint8_t tag) {
   return ctrl_match32_scalar(ctrl, tag);

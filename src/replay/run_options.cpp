@@ -87,10 +87,9 @@ constexpr RunOptions::Knob kKnobs[] = {
      }},
 
     // Execution path.
-    {"POD_SIMD", "enum", "hardware maximum", "scalar | sse | avx2",
+    {"POD_SIMD", "enum", "hardware maximum", "scalar | avx2",
      [](O& o, std::string_view v) {
        if (v == "scalar") o.simd = SimdTier::kScalar;
-       else if (v == "sse") o.simd = SimdTier::kSse42;
        else if (v == "avx2") o.simd = SimdTier::kAvx2;
        else return false;
        return true;

@@ -183,11 +183,11 @@ void TraceGenerator::emit_write(Trace& trace, SimTime arrival) {
     }
   }
 
-  fp_scratch_.clear();
-  fp_scratch_.reserve(ids.size());
+  fps_scratch_.clear();
+  fps_scratch_.reserve(ids.size());
   for (std::uint64_t id : ids)
-    fp_scratch_.push_back(Fingerprint::of_content_id(id));
-  trace.append(req, fp_scratch_);
+    fps_scratch_.push_back(Fingerprint::of_content_id(id));
+  trace.append(req, fps_scratch_);
   // A record is a valid future dup source iff its content sits (or already
   // sat) contiguously on disk: fresh unique extents and full replays of
   // clean records qualify.

@@ -65,7 +65,7 @@ class TraceGenerator {
   std::uint64_t next_id_ = 0;
   /// Reused per-request scratch buffers (content ids / fingerprints).
   std::vector<std::uint64_t> ids_scratch_;
-  std::vector<Fingerprint> fp_scratch_;
+  std::vector<Fingerprint> fps_scratch_;
 };
 
 /// Convenience: generate a paper trace by name ("web-vm", "homes", "mail").

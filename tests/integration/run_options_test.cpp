@@ -198,6 +198,8 @@ TEST(RunOptions, RegressionsFollowTheOneRule) {
   expect_rejected({{"POD_JOBS", "abc"}}, "POD_JOBS", "abc");
   expect_rejected({{"POD_TRACE", "nosuch"}}, "POD_TRACE", "nosuch");
   expect_rejected({{"POD_PIPELINE", "no"}}, "POD_PIPELINE", "no");
+  // There is no SSE tier: the tiers are scalar and avx2.
+  expect_rejected({{"POD_SIMD", "sse"}}, "POD_SIMD", "sse");
   EXPECT_FALSE(parse({{"POD_SCALAR_PROBES", ""}}).scalar_probes);
 }
 
