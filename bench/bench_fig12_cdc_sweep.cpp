@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -96,7 +97,6 @@ SweepResult run_point(const SweepPoint& point, const Corpus& corpus,
                        corpus.total_bytes / min_chunk +
                        corpus.objects.size() + 64;
   cfg.index_cache_bytes = 8 * kMiB;
-  cfg.ghost_bytes = 2 * kMiB;
   cfg.scalar_probes = scalar_probes;
 
   CdcStore store(cfg);
@@ -171,7 +171,8 @@ int main() {
     fixed.chunking.mode = ChunkingMode::kFixed;
     points.push_back(fixed);
   }
-  for (const std::size_t expected : {2048uz, 4096uz, 8192uz, 16384uz, 32768uz}) {
+  for (const std::size_t expected :
+       std::initializer_list<std::size_t>{2048, 4096, 8192, 16384, 32768}) {
     SweepPoint p;
     p.label = "cdc-" + std::to_string(expected / 1024) + "K";
     p.chunking.mode = ChunkingMode::kCdc;

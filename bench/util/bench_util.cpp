@@ -147,7 +147,7 @@ std::map<EngineKind, ReplayResult> run_engine_set(
   for (EngineKind kind : engines) {
     std::fprintf(stderr, "[bench] %-9s x %s...\n", profile.name.c_str(),
                  to_string(kind));
-    items.push_back({paper_spec(kind, profile, scale), &trace});
+    items.push_back({paper_spec(kind, profile, scale), &trace, {}});
   }
 
   const ParallelRunner runner(bench_jobs());

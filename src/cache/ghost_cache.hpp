@@ -5,6 +5,10 @@
 // hit had the corresponding actual cache been larger" — the signal the
 // cost-benefit estimator uses to repartition memory (same idea as ARC's
 // ghost lists).
+//
+// Only iCache reads ghost state, so caches start with a zero-capacity
+// ghost, which is inert: it keeps no table, and remember() and
+// probe_and_consume() return before hashing or probing.
 #pragma once
 
 #include <cstdint>
@@ -20,11 +24,15 @@ class GhostCache {
  public:
   explicit GhostCache(std::size_t capacity) : entries_(capacity) {}
 
-  /// Pre-sizes the underlying table for the configured capacity.
-  void reserve(std::size_t expected) { entries_.reserve(expected); }
+  /// Pre-sizes the underlying table for the configured capacity. An inert
+  /// (zero-capacity) ghost keeps no table at all.
+  void reserve(std::size_t expected) {
+    if (expected != 0) entries_.reserve(expected);
+  }
 
   /// Records an eviction from the actual cache.
   void remember(const K& key) {
+    if (entries_.capacity() == 0) return;
     entries_.put(key, seq_++, [](const K&, std::uint64_t&&) {});
   }
 
@@ -32,7 +40,7 @@ class GhostCache {
   /// each key in order (same sequence numbers, same ghost LRU state), with
   /// one LRU splice and one eviction sweep via put_batch.
   void remember_batch(const K* keys, std::size_t n) {
-    if (n == 0) return;
+    if (n == 0 || entries_.capacity() == 0) return;
     seq_scratch_.resize(n);
     for (std::size_t i = 0; i < n; ++i) seq_scratch_[i] = seq_ + i;
     seq_ += n;
@@ -46,6 +54,7 @@ class GhostCache {
   /// the entry was remembered — i.e. the access would have been an actual
   /// hit had the cache been near_threshold entries larger (exact for LRU).
   bool probe_and_consume(const K& key) {
+    if (entries_.size() == 0) return false;
     return probe_and_consume_tagged(entries_.hash_tag(key), key);
   }
 
@@ -90,6 +99,7 @@ class GhostCache {
   /// later keys' exact slots, so only the homes are precomputed, never the
   /// probe results. Returns the number of hits.
   std::size_t probe_and_consume_batch(const K* keys, std::size_t n) {
+    if (entries_.size() == 0) return 0;
     for (std::size_t i = 0; i < n; ++i) entries_.prefetch(keys[i]);
     std::size_t hits = 0;
     for (std::size_t i = 0; i < n; ++i)

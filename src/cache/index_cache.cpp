@@ -143,8 +143,8 @@ void IndexCache::insert_batch(const Fingerprint* fps, const Pba* pbas,
   for (std::size_t i = 0; i < n; ++i) value_scratch_[i] = IndexEntry{pbas[i], 0};
   // Warm the ghost home buckets of the likely victims: the entries the
   // eviction sweep will pop are the current LRU tail, and each evicted key
-  // is immediately remembered by the ghost list below.
-  if (entries_.size() + n > entries_.capacity()) {
+  // is immediately remembered by the ghost list below (if there is one).
+  if (ghost_.capacity() != 0 && entries_.size() + n > entries_.capacity()) {
     entries_.for_each_lru(n, [this](const Fingerprint& fp, const IndexEntry&) {
       ghost_.prefetch(fp);
     });

@@ -2,8 +2,10 @@
 //
 // Maps hot chunk fingerprints to the physical block that stores the chunk,
 // in LRU order, with a per-entry Count that records write popularity
-// (paper Figure 6). Entries evicted from the actual cache leave their key
-// in a ghost list for iCache's cost-benefit estimation.
+// (paper Figure 6). Ghost lists exist only under iCache: the cache is
+// built without one (zero capacity, no table), and only ICache sizes it,
+// after which evicted keys are remembered for its cost-benefit
+// estimation. Without a ghost every ghost entry point returns at once.
 //
 // Memory accounting: each entry is charged kEntryBytes of the cache's byte
 // budget (fingerprint + PBA + count + list/table overhead ~= 32 B, matching
@@ -31,7 +33,11 @@ class IndexCache {
  public:
   static constexpr std::uint64_t kEntryBytes = 32;
 
-  IndexCache(std::uint64_t capacity_bytes, std::uint64_t ghost_capacity_bytes);
+  /// @param ghost_capacity_bytes  budget the ghost list represents
+  ///                              (entries = bytes / kEntryBytes); 0, the
+  ///                              default, builds no ghost
+  explicit IndexCache(std::uint64_t capacity_bytes,
+                      std::uint64_t ghost_capacity_bytes = 0);
 
   /// Looks up a fingerprint; on hit increments Count and promotes to MRU.
   /// Returns nullptr on miss.
@@ -141,6 +147,7 @@ class IndexCache {
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
+  /// Ghost-list hits (0 without a ghost).
   std::uint64_t ghost_hits() const { return ghost_.hits(); }
   double hit_rate() const {
     const std::uint64_t total = hits_ + misses_;

@@ -3,8 +3,10 @@
 // Caching by PBA (not LBA) means deduplicated logical blocks that share a
 // physical block also share one cache entry — a secondary benefit of
 // deduplication the paper's Full-Dedupe mail-trace read win relies on.
-// Maintains a ghost cache of recently evicted PBAs for iCache's
-// cost-benefit estimation.
+// Ghost lists exist only under iCache: the cache is built without one
+// (zero capacity, no table), and only ICache sizes it to remember
+// recently evicted PBAs for its cost-benefit estimation. Without a ghost
+// every ghost entry point returns at once.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +21,10 @@ class ReadCache {
  public:
   /// @param capacity_bytes        memory budget for cached blocks
   /// @param ghost_capacity_bytes  budget the ghost list *represents*
-  ///                              (entries = bytes / kBlockSize)
-  ReadCache(std::uint64_t capacity_bytes, std::uint64_t ghost_capacity_bytes);
+  ///                              (entries = bytes / kBlockSize); 0, the
+  ///                              default, builds no ghost
+  explicit ReadCache(std::uint64_t capacity_bytes,
+                     std::uint64_t ghost_capacity_bytes = 0);
 
   /// True (and a hit is counted) when the block is cached. Promotes to MRU.
   bool lookup(Pba block);
@@ -62,13 +66,14 @@ class ReadCache {
   void insert_tagged(Tag tag, Pba block);
 
   /// Admits a block (after a disk read, or a write when write-allocate is
-  /// desired). Evictions flow into the ghost list.
+  /// desired). Evictions flow into the ghost list, if there is one.
   void insert(Pba block);
 
   /// Drops a block (e.g. its physical location was freed/rewritten).
   void invalidate(Pba block);
 
-  /// Repartitioning hook: changes the budget; shrinking evicts into ghost.
+  /// Repartitioning hook: changes the budget; shrinking evicts into the
+  /// ghost list.
   void resize(std::uint64_t capacity_bytes);
 
   std::uint64_t capacity_bytes() const { return entries_.capacity() * kBlockSize; }
@@ -76,6 +81,7 @@ class ReadCache {
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
+  /// Ghost-list hits (0 without a ghost).
   std::uint64_t ghost_hits() const { return ghost_.hits(); }
   double hit_rate() const {
     const std::uint64_t total = hits_ + misses_;

@@ -21,7 +21,7 @@ CdcStore::CdcStore(const CdcConfig& cfg)
       chunker_(cfg.chunking),
       hash_(cfg.hash),
       store_(store_config(cfg)),
-      index_(cfg.index_cache_bytes, cfg.ghost_bytes) {
+      index_(cfg.index_cache_bytes) {
   POD_CHECK(cfg.logical_blocks > 0);
 }
 
@@ -39,7 +39,8 @@ bool CdcStore::ingest(std::span<const std::uint8_t> object) {
 
   // Phase 1: all index probes up front. The bulk path pipelines the
   // dependent cache misses behind prefetches; the scalar path issues the
-  // same lookup + miss-ghost-probe sequence one chunk at a time.
+  // same lookups one chunk at a time. The index cache has no ghost list
+  // (there is no iCache here), so misses probe nothing further.
   if (!cfg_.scalar_probes) {
     hit_scratch_.resize(n);
     if (cfg_.fused_probes)
@@ -61,7 +62,6 @@ bool CdcStore::ingest(std::span<const std::uint8_t> object) {
     const IndexEntry* e;
     if (cfg_.scalar_probes) {
       e = index_.lookup(fp);
-      if (e == nullptr) index_.ghost_probe(fp);
     } else {
       e = hit_scratch_[i];
     }

@@ -37,7 +37,6 @@ struct CdcConfig {
   /// Logical capacity of the append-only extent space, in 4 KB blocks.
   std::uint64_t logical_blocks = 0;
   std::uint64_t index_cache_bytes = 4 * kMiB;
-  std::uint64_t ghost_bytes = 1 * kMiB;
   /// Use the per-chunk scalar cache API instead of the bulk ops.
   bool scalar_probes = false;
   /// Bulk path flavor: fused single-pass lookup (default) vs the two-phase

@@ -47,16 +47,14 @@ DedupEngine::DedupEngine(Simulator& sim, Volume& volume, const EngineConfig& cfg
       hash_(cfg.hash),
       store_(BlockStore::Config{cfg.logical_blocks, cfg.pool_fraction}),
       read_cache_(static_cast<std::uint64_t>(
-                      static_cast<double>(cfg.memory_bytes) *
-                      (1.0 - cfg.index_fraction)),
-                  /*ghost_capacity_bytes=*/cfg.memory_bytes) {
+          static_cast<double>(cfg.memory_bytes) * (1.0 - cfg.index_fraction))) {
   POD_CHECK(cfg_.index_fraction >= 0.0 && cfg_.index_fraction <= 1.0);
   POD_CHECK(volume_.capacity_blocks() >= required_volume_blocks(cfg_));
+  // Both caches start without a ghost list; only iCache (PodEngine) reads
+  // ghost state, so only it sizes one.
   if (cfg_.index_fraction > 0.0) {
-    index_cache_ = std::make_unique<IndexCache>(
-        static_cast<std::uint64_t>(static_cast<double>(cfg_.memory_bytes) *
-                                   cfg_.index_fraction),
-        /*ghost_capacity_bytes=*/cfg_.memory_bytes);
+    index_cache_ = std::make_unique<IndexCache>(static_cast<std::uint64_t>(
+        static_cast<double>(cfg_.memory_bytes) * cfg_.index_fraction));
   }
   store_.on_content_gone = [this](Pba pba, const Fingerprint& fp) {
     on_content_gone(pba, fp);

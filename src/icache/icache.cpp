@@ -27,6 +27,17 @@ ICache::ICache(const ICacheConfig& cfg, IndexCache& index, ReadCache& read,
     spilled_.put(fp, e);
   };
 
+  // Ghost lists exist only for this estimator: the caches are built
+  // without one, and each ghost represents the whole budget so it sees
+  // every access any partition could have turned into a hit.
+  const auto index_ghost = static_cast<std::size_t>(
+      cfg_.total_bytes / IndexCache::kEntryBytes);
+  const auto read_ghost = static_cast<std::size_t>(cfg_.total_bytes / kBlockSize);
+  index_.ghost().set_capacity(index_ghost);
+  index_.ghost().reserve(index_ghost);
+  read_.ghost().set_capacity(read_ghost);
+  read_.ghost().reserve(read_ghost);
+
   const auto ibytes = static_cast<std::uint64_t>(
       static_cast<double>(cfg_.total_bytes) * cfg_.initial_index_fraction);
   index_.resize(ibytes);

@@ -205,8 +205,9 @@ TEST(BulkOps, IndexCacheInsertBatchMatchesScalar) {
         EXPECT_EQ(a->pba, b->pba);
         EXPECT_EQ(a->count, b->count);
       }
-      if (a == nullptr)
+      if (a == nullptr) {
         EXPECT_EQ(scalar.ghost_probe(fp), bulk.ghost_probe(fp));
+      }
     }
   }
   EXPECT_EQ(hook_scalar, hook_bulk);

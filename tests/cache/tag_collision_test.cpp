@@ -75,7 +75,9 @@ TEST(TagCollisionStorm, FlatHashMapInsertFindEraseChurn) {
     const std::uint64_t* v = m.find(k);
     const auto it = truth.find(k);
     ASSERT_EQ(v == nullptr, it == truth.end()) << k;
-    if (v != nullptr) EXPECT_EQ(*v, it->second);
+    if (v != nullptr) {
+      EXPECT_EQ(*v, it->second);
+    }
   }
   EXPECT_EQ(m.size(), truth.size());
 
@@ -95,7 +97,9 @@ TEST(TagCollisionStorm, FlatHashMapInsertFindEraseChurn) {
         const std::uint64_t* v = m.find(k);
         const auto it = truth.find(k);
         ASSERT_EQ(v == nullptr, it == truth.end()) << k;
-        if (v != nullptr) EXPECT_EQ(*v, it->second);
+        if (v != nullptr) {
+          EXPECT_EQ(*v, it->second);
+        }
       }
     }
   }
@@ -145,7 +149,9 @@ TEST(TagCollisionStorm, FlatLruMapProbeEvictTakeChurn) {
     const std::uint32_t tag = m.hash_tag(k);
     std::uint64_t* v = m.get_tagged(tag, k);
     ASSERT_EQ(v != nullptr, expect_live) << k;
-    if (v != nullptr) EXPECT_EQ(*v, k + 1);
+    if (v != nullptr) {
+      EXPECT_EQ(*v, k + 1);
+    }
   }
 }
 
@@ -214,7 +220,9 @@ TEST(TagCollisionStorm, FusedLookupMatchesScalarUnderCollisions) {
     const IndexEntry* ef = fused.peek(fp(id));
     const IndexEntry* es = scalar.peek(fp(id));
     ASSERT_EQ(ef == nullptr, es == nullptr) << id;
-    if (ef != nullptr) EXPECT_EQ(ef->pba, es->pba);
+    if (ef != nullptr) {
+      EXPECT_EQ(ef->pba, es->pba);
+    }
   }
 }
 

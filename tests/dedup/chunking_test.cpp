@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,8 @@ TEST(ChunkingConfig, DefaultsToFixed) {
 
 TEST(ChunkingConfig, RabinForExpectedSatisfiesInvariants) {
   for (const std::size_t expected :
-       {128uz, 2048uz, 4096uz, 8192uz, 16384uz, 65536uz}) {
+       std::initializer_list<std::size_t>{128, 2048, 4096, 8192, 16384,
+                                          65536}) {
     SCOPED_TRACE(expected);
     const RabinConfig rc = ChunkingConfig::rabin_for_expected(expected);
     EXPECT_GE(rc.min_chunk, rc.window);

@@ -27,6 +27,20 @@ TEST(PodEngine, BehavesLikeSelectDedupeOnPolicy) {
   EXPECT_EQ(h.engine().stats().chunks_deduped, 1u);  // only the cat-1 block
 }
 
+TEST(PodEngine, GhostProbesSignalMissedDedup) {
+  // A ghost hit is iCache's "a larger index cache would have deduped this"
+  // signal, so only POD keeps a ghost list to produce it.
+  EngineConfig cfg = testutil::small_engine_config();
+  cfg.memory_bytes = 64 * IndexCache::kEntryBytes;
+  EngineHarness h(EngineKind::kPod, cfg);
+  for (std::uint64_t i = 0; i < 100; ++i) (void)h.write(i * 4, {300 + i});
+  // Probe a *recently* evicted entry (the cache holds the newest 32 of 100
+  // inserts; the ghost list remembers the most recently evicted ones).
+  (void)h.write(5000, {300 + 60});
+  ASSERT_NE(h.engine().index_cache(), nullptr);
+  EXPECT_GT(h.engine().index_cache()->ghost_hits(), 0u);
+}
+
 TEST(PodEngine, StartsAtConfiguredPartition) {
   EngineHarness h(EngineKind::kPod);
   EXPECT_NEAR(pod_engine(h).icache().index_fraction(), 0.5, 0.01);

@@ -122,18 +122,6 @@ TEST(SelectDedupe, IndexMissMeansNoDedupNotDiskLookup) {
   EXPECT_EQ(h.engine().stats().writes_eliminated, 0u);  // missed opportunity
 }
 
-TEST(SelectDedupe, GhostProbesSignalMissedDedup) {
-  EngineConfig cfg = testutil::small_engine_config();
-  cfg.memory_bytes = 64 * IndexCache::kEntryBytes;
-  EngineHarness h(EngineKind::kSelectDedupe, cfg);
-  for (std::uint64_t i = 0; i < 100; ++i) (void)h.write(i * 4, {300 + i});
-  // Probe a *recently* evicted entry (the cache holds the newest 32 of 100
-  // inserts; the ghost list remembers the most recently evicted ones).
-  (void)h.write(5000, {300 + 60});
-  ASSERT_NE(h.engine().index_cache(), nullptr);
-  EXPECT_GT(h.engine().index_cache()->ghost_hits(), 0u);
-}
-
 TEST(SelectDedupe, EliminationChainsThroughDedupedSource) {
   // A dedups against B which deduped against C: the chain must resolve to
   // the same physical blocks.

@@ -144,9 +144,9 @@ TEST(ReplayPipeline, IdenticalUnderParallelJobs) {
   for (EngineKind kind : kAllEngines) {
     RunSpec spec = spec_for(kind);
     spec.pipeline = pipeline_off();
-    serial_items.push_back({spec, &t});
+    serial_items.push_back({spec, &t, {}});
     spec.pipeline = pipeline_on();
-    piped_items.push_back({spec, &t});
+    piped_items.push_back({spec, &t, {}});
   }
 
   const std::vector<ReplayResult> serial = ParallelRunner(1).run(serial_items);
