@@ -21,6 +21,7 @@
 #include "disk/hdd_model.hpp"
 #include "hash/sha1.hpp"
 #include "hash/xx64.hpp"
+#include "icache/icache.hpp"
 #include "raid/raid5.hpp"
 #include "replay/replayer.hpp"
 #include "sim/event_queue.hpp"
@@ -323,6 +324,51 @@ void BM_IndexInsert_Batch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
 }
 BENCHMARK(BM_IndexInsert_Batch)->Arg(1024)->Arg(65536)->Arg(1 << 20)->Arg(1 << 22);
+
+// One iCache round trip at webvm-pod's memory budget (100 MiB / 8): a
+// grow-index (the read cache shrinks, the most recently spilled index
+// entries are re-admitted) then a grow-read (the index cache shrinks and
+// spills a step's worth of entries, ghost blocks are prefetched), with
+// both caches, both ghost lists and the spill list full. Each direction
+// takes two agreeing epochs, driven by injected near ghost hits.
+void BM_ICacheRepartition(benchmark::State& state) {
+  constexpr std::uint64_t kBudget = 100 * kMiB / 8;
+  IndexCache index(0);
+  ReadCache read(0);
+  ICacheConfig cfg;
+  cfg.total_bytes = kBudget;
+  ICache ic(cfg, index, read, [](OpType, std::uint64_t) {});
+  // Evictions fill the index ghost and the spill list (each holds the
+  // whole budget's worth of entries) behind a full index cache.
+  const std::uint64_t entries = kBudget / IndexCache::kEntryBytes;
+  for (std::uint64_t i = 0; i < 3 * entries; ++i)
+    index.insert(Fingerprint::of_content_id(i), i);
+  for (Pba p = 0; p < 3 * (kBudget / kBlockSize); ++p) read.insert(p);
+  std::uint64_t signal = 1ull << 40;
+  const auto epoch = [&](bool grow_index) {
+    for (int i = 0; i < 50; ++i, ++signal) {
+      if (grow_index) {
+        index.ghost().remember(Fingerprint::of_content_id(signal));
+        index.ghost_probe(Fingerprint::of_content_id(signal));
+      } else {
+        read.ghost().remember(signal);
+        read.ghost_probe(signal);
+      }
+    }
+    ic.adapt();
+  };
+  for (auto _ : state) {
+    epoch(true);
+    epoch(true);
+    epoch(false);
+    epoch(false);
+  }
+  if (ic.stats().grew_index != ic.stats().grew_read ||
+      ic.stats().grew_index < static_cast<std::uint64_t>(state.iterations()))
+    state.SkipWithError("repartitions did not alternate");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
+}
+BENCHMARK(BM_ICacheRepartition)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(static_cast<std::uint64_t>(state.range(0)), 0.9);

@@ -271,15 +271,15 @@ class FlatLruMap {
 
   /// Request-scoped bulk insert: equivalent to `put(keys[i], values[i],
   /// on_evict)` for every i in order — same final map contents, same LRU
-  /// order, same eviction sequence — but amortized: tags are hashed and
-  /// home buckets prefetched up front, the index table is pre-reserved so
+  /// order, same eviction sequence — but amortized: tags are hashed up
+  /// front and home buckets prefetched ahead, the index table is pre-reserved so
   /// no rehash lands mid-batch, inserted/overwritten entries collect onto
   /// a detached recency chain published with ONE splice, and evictions are
-  /// detached from the table at the exact per-put points the scalar loop
-  /// would evict them (so probe outcomes match bit-for-bit) while their
-  /// `on_evict` callbacks are staged and delivered together after the
-  /// batch. Requires copy-constructible V (values are read from an array);
-  /// `on_evict` must not reenter this map.
+  /// detached from the table, and reported to `on_evict`, at the exact
+  /// per-put points the scalar loop would evict them (so probe outcomes
+  /// match bit-for-bit). Requires copy-constructible V (values are read
+  /// from an array); `on_evict` runs mid-batch, while the batch's entries
+  /// sit on a detached chain, so it must not reenter this map.
   template <typename EvictFn>
   void put_batch(const K* keys, const V* values, std::size_t n,
                  EvictFn&& on_evict) {
@@ -288,18 +288,33 @@ class FlatLruMap {
       for (std::size_t i = 0; i < n; ++i) on_evict(keys[i], V(values[i]));
       return;
     }
-    reserve(size_ + n);  // no rebuild mid-batch: chained slots are off-list
+    // No rebuild mid-batch (chained slots are off-list). The map never
+    // holds more than capacity_ entries between puts, so a full map takes
+    // no more table than the scalar loop would.
+    reserve(std::min(size_ + n, capacity_));
     std::uint32_t chain_front = kNil;
     std::uint32_t chain_back = kNil;
     tag_scratch_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) tag_scratch_[i] = tag_of(keys[i]);
+    // Home buckets are prefetched kBatchWindow keys ahead of their probe
+    // (a request-sized batch gets all of its hints up front; a swap-sized
+    // one does not flood the line-fill buffers with hints that would be
+    // evicted before use). A batch that fits evicts nothing, so its new
+    // entries take the recycled slots in free_'s LIFO order: prefetch
+    // those the same distance ahead.
+    const auto prefetch_home = [&](std::size_t i) {
+      prefetch_read(&ctrl_[tag_scratch_[i] & mask_]);
+      prefetch_read(&table_[tag_scratch_[i] & mask_]);
+    };
+    const bool fits = size_ + n <= capacity_;
+    for (std::size_t i = 0; i < std::min(n, kBatchWindow); ++i) prefetch_home(i);
+    if (!fits && tail_ != kNil) prefetch_read(&slots_[tail_]);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t tag = tag_of(keys[i]);
-      tag_scratch_[i] = tag;
-      prefetch_read(&ctrl_[tag & mask_]);
-      prefetch_read(&table_[tag & mask_]);
-    }
-    if (size_ + n > capacity_ && tail_ != kNil) prefetch_read(&slots_[tail_]);
-    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kBatchWindow < n) {
+        prefetch_home(i + kBatchWindow);
+        if (fits && free_.size() > kBatchWindow)
+          prefetch_read(&slots_[free_[free_.size() - 1 - kBatchWindow]]);
+      }
       const std::uint32_t tag = tag_scratch_[i];
       const CtrlProbeResult r = probe(tag, keys[i]);
       if (r.found) {  // overwrite + promote; size unchanged, no evict
@@ -325,17 +340,15 @@ class FlatLruMap {
           victim = chain_back;
           chain_unlink(victim, chain_front, chain_back);
         }
-        // Move key/value out NOW: the freed slot may be recycled by a
-        // later insert of this same batch.
-        evicted_scratch_.emplace_back(slots_[victim].key,
-                                      std::move(slots_[victim].value));
+        // Move key/value out before the slot is recycled.
+        K key = slots_[victim].key;
+        V value = std::move(slots_[victim].value);
         detach_table(victim);
         if (tail_ != kNil) prefetch_read(&slots_[tail_]);
+        on_evict(key, std::move(value));
       }
     }
     splice_chain_front(chain_front, chain_back);
-    for (auto& [k, v] : evicted_scratch_) on_evict(k, std::move(v));
-    evicted_scratch_.clear();
   }
 
   /// Removes a specific key; returns true if it was present.
@@ -365,6 +378,23 @@ class FlatLruMap {
     return out;
   }
 
+  /// Pops the MRU entry (requires non-empty) — no probe: the head slot
+  /// names its own table bucket. Repeated pops drain the list newest-first
+  /// and recycle the slots exactly as erase() of the same keys in the same
+  /// order would. The next head's bucket is prefetched, so a run of pops
+  /// overlaps its backward-shift scans with the following slot's miss.
+  std::pair<K, V> pop_mru() {
+    POD_CHECK(size_ > 0);
+    const std::uint32_t s = head_;
+    std::pair<K, V> out{slots_[s].key, std::move(slots_[s].value)};
+    remove_slot(s);
+    if (head_ != kNil) {
+      prefetch_read(&table_[slots_[head_].tpos]);
+      if (slots_[head_].next != kNil) prefetch_read(&slots_[slots_[head_].next]);
+    }
+    return out;
+  }
+
   /// Shrinks/extends the capacity; evicts LRU entries as needed.
   template <typename EvictFn>
   void set_capacity(std::size_t capacity, EvictFn&& on_evict) {
@@ -376,11 +406,14 @@ class FlatLruMap {
     set_capacity(capacity, [](const K&, V&&) {});
   }
 
-  /// Iterates entries from MRU to LRU.
+  /// Visits up to `limit` entries from MRU toward LRU without promoting.
   template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::uint32_t s = head_; s != kNil; s = slots_[s].next)
+  void for_each_mru(std::size_t limit, Fn&& fn) const {
+    std::uint32_t s = head_;
+    for (std::size_t i = 0; i < limit && s != kNil; ++i) {
       fn(slots_[s].key, slots_[s].value);
+      s = slots_[s].next;
+    }
   }
 
   /// Visits up to `limit` entries from LRU toward MRU without promoting —
@@ -415,7 +448,8 @@ class FlatLruMap {
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
-  /// Batch window for get_batch (see FlatHashMap::kBatchWindow).
+  /// Batch window for get_batch and put_batch's prefetch distance (see
+  /// FlatHashMap::kBatchWindow).
   static constexpr std::size_t kBatchWindow = 16;
 
   struct Slot {
@@ -666,7 +700,6 @@ class FlatLruMap {
   bool wide_ = false;
   // put_batch staging (kept across calls so steady state allocates nothing).
   std::vector<std::uint32_t> tag_scratch_;
-  std::vector<std::pair<K, V>> evicted_scratch_;
 };
 
 }  // namespace pod

@@ -11,8 +11,10 @@
 // probe_and_consume() return before hashing or probing.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cache/flat_lru_map.hpp"
@@ -123,14 +125,31 @@ class GhostCache {
   std::uint64_t epoch_hits() const { return hits_ - epoch_base_; }
   void begin_epoch() { epoch_base_ = hits_; }
 
-  /// Iterates remembered keys from most- to least-recently evicted.
+  /// Visits up to `limit` remembered keys from most- toward least-recently
+  /// evicted, with each key's eviction sequence number.
   template <typename Fn>
-  void for_each(Fn&& fn) const {
-    entries_.for_each([&fn](const K& key, const std::uint64_t&) { fn(key); });
+  void for_each_mru(std::size_t limit, Fn&& fn) const {
+    entries_.for_each_mru(limit, std::forward<Fn>(fn));
   }
 
   /// Drops a specific key (e.g. after swap-in) without counting a hit.
   void forget(const K& key) { entries_.erase(key); }
+
+  /// forget() on each key in order (same erasures, same ghost state). Each
+  /// key's home bucket is prefetched a fixed distance ahead of its erase,
+  /// so a swap-in's worth of forgets overlaps its cache misses instead of
+  /// paying them one after another. Erasures shift the table, so the hints
+  /// can go stale; a stale hint costs one line, never correctness.
+  void forget_batch(const K* keys, std::size_t n) {
+    if (entries_.size() == 0) return;
+    constexpr std::size_t kAhead = 8;
+    for (std::size_t i = 0; i < std::min(kAhead, n); ++i)
+      entries_.prefetch(keys[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kAhead < n) entries_.prefetch(keys[i + kAhead]);
+      entries_.erase(keys[i]);
+    }
+  }
 
   void clear() { entries_.clear(); }
 

@@ -121,19 +121,16 @@ const IndexEntry* IndexCache::lookup_tagged(Tag tag, const Fingerprint& fp) {
 }
 
 void IndexCache::insert_tagged(Tag tag, const Fingerprint& fp, Pba pba) {
+  // A single put evicts at most one entry: hand it over in place.
   entries_.put_tagged(tag, fp, IndexEntry{pba, 0},
                       [this](const Fingerprint& evicted, IndexEntry&& entry) {
                         ghost_.remember(evicted);
-                        if (evict_hook) evict_hook(evicted, entry);
+                        if (evict_hook) evict_hook({&evicted, 1}, {&entry, 1});
                       });
 }
 
 void IndexCache::insert(const Fingerprint& fp, Pba pba) {
-  entries_.put(fp, IndexEntry{pba, 0},
-               [this](const Fingerprint& evicted, IndexEntry&& entry) {
-                 ghost_.remember(evicted);
-                 if (evict_hook) evict_hook(evicted, entry);
-               });
+  insert_tagged(entries_.hash_tag(fp), fp, pba);
 }
 
 void IndexCache::insert_batch(const Fingerprint* fps, const Pba* pbas,
@@ -156,13 +153,14 @@ void IndexCache::insert_batch(const Fingerprint* fps, const Pba* pbas,
                        evicted_fps_scratch_.push_back(evicted);
                        evicted_entry_scratch_.push_back(entry);
                      });
+  flush_evictions();
+}
+
+void IndexCache::flush_evictions() {
   if (evicted_fps_scratch_.empty()) return;
   ghost_.remember_batch(evicted_fps_scratch_.data(),
                         evicted_fps_scratch_.size());
-  if (evict_hook) {
-    for (std::size_t i = 0; i < evicted_fps_scratch_.size(); ++i)
-      evict_hook(evicted_fps_scratch_[i], evicted_entry_scratch_[i]);
-  }
+  if (evict_hook) evict_hook(evicted_fps_scratch_, evicted_entry_scratch_);
 }
 
 void IndexCache::invalidate(const Fingerprint& fp) { entries_.erase(fp); }
@@ -173,11 +171,14 @@ void IndexCache::rebind(const Fingerprint& fp, Pba pba) {
 }
 
 void IndexCache::resize(std::uint64_t capacity_bytes) {
+  evicted_fps_scratch_.clear();
+  evicted_entry_scratch_.clear();
   entries_.set_capacity(entries_for(capacity_bytes),
                         [this](const Fingerprint& evicted, IndexEntry&& entry) {
-                          ghost_.remember(evicted);
-                          if (evict_hook) evict_hook(evicted, entry);
+                          evicted_fps_scratch_.push_back(evicted);
+                          evicted_entry_scratch_.push_back(entry);
                         });
+  flush_evictions();
 }
 
 }  // namespace pod

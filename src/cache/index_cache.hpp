@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cache/flat_lru_map.hpp"
@@ -125,11 +126,11 @@ class IndexCache {
 
   /// Request-scoped bulk insert: equivalent to `insert(fps[i], pbas[i])`
   /// for every i in order — same cache contents and LRU order, same ghost
-  /// list state, same evict_hook invocation sequence. The entry map is
+  /// list state, same evictions in the same order. The entry map is
   /// mutated through one put_batch (one LRU splice, one eviction sweep),
   /// evicted entries are staged, then the ghost list learns all of them in
-  /// one remember_batch and evict_hook fires per entry in eviction order.
-  /// The regrouping is state-identical because entry-map updates and
+  /// one remember_batch and evict_hook receives them in one call. The
+  /// regrouping is state-identical because entry-map updates and
   /// ghost/hook side effects touch disjoint structures (see the scalar
   /// insert: the ghost/hook work keys off the evicted entry only).
   void insert_batch(const Fingerprint* fps, const Pba* pbas, std::size_t n);
@@ -140,10 +141,20 @@ class IndexCache {
   /// Rebinds a fingerprint to a new physical location.
   void rebind(const Fingerprint& fp, Pba pba);
 
+  /// Changes the budget. Shrinking evicts LRU entries in one sweep, then
+  /// hands them to the ghost list (one remember_batch) and to evict_hook
+  /// (one call), oldest first.
   void resize(std::uint64_t capacity_bytes);
 
   std::uint64_t capacity_bytes() const { return entries_.capacity() * kEntryBytes; }
+  std::size_t capacity_entries() const { return entries_.capacity(); }
   std::size_t size_entries() const { return entries_.size(); }
+
+  /// Visits up to `limit` entries from MRU toward LRU without promoting.
+  template <typename Fn>
+  void for_each_mru(std::size_t limit, Fn&& fn) const {
+    entries_.for_each_mru(limit, std::forward<Fn>(fn));
+  }
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
@@ -157,15 +168,21 @@ class IndexCache {
   GhostCache<Fingerprint, FingerprintHash>& ghost() { return ghost_; }
   const GhostCache<Fingerprint, FingerprintHash>& ghost() const { return ghost_; }
 
-  /// Observer invoked for every eviction (capacity pressure or resize);
+  /// Observer of evictions (capacity pressure or resize): one call per
+  /// insert, insert_tagged, insert_batch or resize that evicts, with the
+  /// evicted fingerprints and entries as parallel spans in eviction order.
   /// iCache uses it to spill evicted entries to the swap area so they can
   /// be re-admitted when the index cache grows again.
-  std::function<void(const Fingerprint&, const IndexEntry&)> evict_hook;
+  std::function<void(std::span<const Fingerprint>, std::span<const IndexEntry>)>
+      evict_hook;
 
  private:
   static std::size_t entries_for(std::uint64_t bytes) {
     return static_cast<std::size_t>(bytes / kEntryBytes);
   }
+
+  /// Hands the staged evictions to the ghost list and evict_hook.
+  void flush_evictions();
 
   FlatLruMap<Fingerprint, IndexEntry, FingerprintHash> entries_;
   GhostCache<Fingerprint, FingerprintHash> ghost_;
@@ -177,8 +194,9 @@ class IndexCache {
   std::vector<Fingerprint> miss_scratch_;
   // lookup_fused scratch: one tag per fingerprint of the span.
   std::vector<Tag> tag_scratch_;
-  // insert_batch staging (evictions deferred past the put_batch).
+  // insert_batch values (one IndexEntry per fingerprint).
   std::vector<IndexEntry> value_scratch_;
+  // Evictions staged by insert_batch and resize for flush_evictions().
   std::vector<Fingerprint> evicted_fps_scratch_;
   std::vector<IndexEntry> evicted_entry_scratch_;
 };

@@ -22,9 +22,12 @@ ICache::ICache(const ICacheConfig& cfg, IndexCache& index, ReadCache& read,
 
   // Capture index evictions into the swap-area side store so they can be
   // re-admitted later. (The ghost list remembers the *keys* for the
-  // cost-benefit signal; `spilled_` remembers the payloads.)
-  index_.evict_hook = [this](const Fingerprint& fp, const IndexEntry& e) {
-    spilled_.put(fp, e);
+  // cost-benefit signal; `spilled_` remembers the payloads.) One put_batch
+  // per evicting call: a shrink's whole spill lands with one LRU splice.
+  index_.evict_hook = [this](std::span<const Fingerprint> fps,
+                             std::span<const IndexEntry> entries) {
+    spilled_.put_batch(fps.data(), entries.data(), fps.size(),
+                       [](const Fingerprint&, IndexEntry&&) {});
   };
 
   // Ghost lists exist only for this estimator: the caches are built
@@ -117,23 +120,33 @@ void ICache::apply(PartitionDecision decision) {
 
 void ICache::readmit_index_entries(std::uint64_t budget_entries) {
   if (budget_entries == 0 || spilled_.empty()) return;
-  std::vector<std::pair<Fingerprint, IndexEntry>> to_admit;
   const std::uint64_t want = std::min<std::uint64_t>(
       budget_entries, cfg_.max_swap_blocks * (kBlockSize / IndexCache::kEntryBytes));
-  spilled_.for_each([&](const Fingerprint& fp, const IndexEntry& e) {
-    if (to_admit.size() < want) to_admit.emplace_back(fp, e);
-  });
+  // The most recently spilled entries sit at spilled_'s MRU end: pop them
+  // newest-first, with no walk over the rest of the swap area.
+  const auto k = static_cast<std::size_t>(
+      std::min<std::uint64_t>(want, spilled_.size()));
+  readmit_fps_.resize(k);
+  readmit_pbas_.resize(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto [fp, e] = spilled_.pop_mru();
+    readmit_fps_[i] = fp;
+    readmit_pbas_[i] = e.pba;
+  }
   // Swap-in cost: sequential read of the re-admitted metadata.
   const std::uint64_t blocks = std::max<std::uint64_t>(
-      1, bytes_to_blocks(to_admit.size() * IndexCache::kEntryBytes));
+      1, bytes_to_blocks(k * IndexCache::kEntryBytes));
   swap_io_(OpType::kRead, std::min<std::uint64_t>(blocks, cfg_.max_swap_blocks));
   stats_.swap_blocks_read += blocks;
-  for (auto& [fp, e] : to_admit) {
-    spilled_.erase(fp);
-    index_.ghost().forget(fp);
-    index_.insert(fp, e.pba);
-    ++stats_.index_entries_readmitted;
-  }
+  // The entry map, the ghost list and the swap area are disjoint, so
+  // forgetting every key before inserting any leaves the same state as
+  // the per-entry erase/forget/insert sequence. The index has just grown
+  // by at least `budget_entries >= k` free slots, so the insert evicts
+  // nothing (and spills nothing back).
+  index_.ghost().forget_batch(readmit_fps_.data(), k);
+  POD_CHECK(index_.size_entries() + k <= index_.capacity_entries());
+  index_.insert_batch(readmit_fps_.data(), readmit_pbas_.data(), k);
+  stats_.index_entries_readmitted += k;
 }
 
 void ICache::prefetch_read_blocks(std::uint64_t budget_blocks) {
@@ -141,9 +154,10 @@ void ICache::prefetch_read_blocks(std::uint64_t budget_blocks) {
   const std::uint64_t want =
       std::min<std::uint64_t>(budget_blocks, cfg_.max_swap_blocks);
   std::vector<Pba> to_fetch;
-  read_.ghost().for_each([&](const Pba& pba) {
-    if (to_fetch.size() < want) to_fetch.push_back(pba);
-  });
+  read_.ghost().for_each_mru(static_cast<std::size_t>(want),
+                             [&](const Pba& pba, std::uint64_t) {
+                               to_fetch.push_back(pba);
+                             });
   if (to_fetch.empty()) return;
   swap_io_(OpType::kRead, to_fetch.size());
   for (Pba pba : to_fetch) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "cache/index_cache.hpp"
 #include "cache/read_cache.hpp"
@@ -71,6 +72,10 @@ class ICache {
   std::uint64_t read_bytes() const { return read_.capacity_bytes(); }
   const ICacheStats& stats() const { return stats_; }
   const AccessMonitor& monitor() const { return monitor_; }
+  /// Spilled index entries living in the swap area, MRU-first.
+  const FlatLruMap<Fingerprint, IndexEntry, FingerprintHash>& spilled() const {
+    return spilled_;
+  }
 
   /// Fired after a repartition actually moves memory, with the index
   /// cache's (old_bytes, new_bytes). Observation only (telemetry): the
@@ -90,6 +95,9 @@ class ICache {
   AccessMonitor monitor_;
   /// Spilled index entries living in the swap area, MRU-first.
   FlatLruMap<Fingerprint, IndexEntry, FingerprintHash> spilled_;
+  // readmit_index_entries staging (steady state allocates nothing).
+  std::vector<Fingerprint> readmit_fps_;
+  std::vector<Pba> readmit_pbas_;
   SimTime next_adapt_ = 0;
   /// Repartition only when the same direction wins two epochs in a row —
   /// shrinking one cache inflates its ghost-hit signal in the very next

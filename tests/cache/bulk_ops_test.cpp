@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -26,7 +27,7 @@ using Map = FlatLruMap<std::uint64_t, std::uint64_t>;
 /// MRU-first snapshot of contents + recency order.
 std::vector<std::pair<std::uint64_t, std::uint64_t>> snapshot(const Map& m) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  m.for_each([&](const std::uint64_t& k, const std::uint64_t& v) {
+  m.for_each_mru(m.size(), [&](const std::uint64_t& k, const std::uint64_t& v) {
     out.emplace_back(k, v);
   });
   return out;
@@ -134,6 +135,60 @@ TEST(BulkOps, RandomizedPutBatchEquivalence) {
   }
 }
 
+TEST(BulkOps, RandomizedSwapSizedPutBatchEquivalence) {
+  // Swap-sized batches (up to 300 keys, far past the prefetch window) into
+  // a map whose pool has recycled slots from erasures and pops, some
+  // fitting without eviction, some overflowing: every batch cross-checked
+  // against the scalar loop.
+  Rng rng(43);
+  Map scalar(512), bulk(512);
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform(0, 299));
+    std::vector<std::uint64_t> keys, values;
+    for (std::size_t i = 0; i < n; ++i) {
+      keys.push_back(rng.uniform(0, 2047));
+      values.push_back(rng.next());
+    }
+    check_batch(scalar, bulk, keys, values);
+    const std::size_t drops = static_cast<std::size_t>(rng.uniform(0, 200));
+    for (std::size_t i = 0; i < drops && !bulk.empty(); ++i) {
+      if (i % 2 == 0) {
+        EXPECT_EQ(scalar.pop_mru(), bulk.pop_mru());
+      } else {
+        const std::uint64_t k = rng.uniform(0, 2047);
+        EXPECT_EQ(scalar.erase(k), bulk.erase(k));
+      }
+    }
+  }
+}
+
+TEST(BulkOps, GhostForgetBatchMatchesScalar) {
+  GhostCache<std::uint64_t> scalar(256), bulk(256);
+  Rng rng(8);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<std::uint64_t> keys;
+    for (int i = 0; i < 64; ++i) keys.push_back(rng.uniform(0, 511));
+    scalar.remember_batch(keys.data(), keys.size());
+    bulk.remember_batch(keys.data(), keys.size());
+    // Forget a mix of remembered, absent and repeated keys.
+    keys.clear();
+    const std::size_t n = static_cast<std::size_t>(rng.uniform(0, 100));
+    for (std::size_t i = 0; i < n; ++i) keys.push_back(rng.uniform(0, 511));
+    for (const std::uint64_t k : keys) scalar.forget(k);
+    bulk.forget_batch(keys.data(), keys.size());
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> a, b;
+    scalar.for_each_mru(scalar.size(), [&](const std::uint64_t& k, std::uint64_t seq) {
+      a.emplace_back(k, seq);
+    });
+    bulk.for_each_mru(bulk.size(), [&](const std::uint64_t& k, std::uint64_t seq) {
+      b.emplace_back(k, seq);
+    });
+    ASSERT_EQ(a, b) << "round " << round;
+  }
+  EXPECT_EQ(scalar.hits(), 0u);
+  EXPECT_EQ(bulk.hits(), 0u);
+}
+
 TEST(BulkOps, PromoteBatchMatchesScalarGets) {
   Map scalar(16), bulk(16);
   for (std::uint64_t k = 0; k < 16; ++k) {
@@ -169,18 +224,21 @@ Fingerprint fp_of(std::uint64_t i) { return Fingerprint::of_prefix(i); }
 
 TEST(BulkOps, IndexCacheInsertBatchMatchesScalar) {
   // Tight cache (32 entries) so insert batches continually evict into the
-  // ghost list; evict_hook order and ghost state must match the scalar
-  // insert loop exactly.
+  // ghost list; the evictions evict_hook sees, in order, and the ghost
+  // state must match the scalar insert loop exactly.
   const std::uint64_t cap = 32 * IndexCache::kEntryBytes;
   const std::uint64_t ghost_cap = 64 * 16;
   IndexCache scalar(cap, ghost_cap), bulk(cap, ghost_cap);
   std::vector<std::pair<Fingerprint, Pba>> hook_scalar, hook_bulk;
-  scalar.evict_hook = [&](const Fingerprint& fp, const IndexEntry& e) {
-    hook_scalar.emplace_back(fp, e.pba);
+  const auto recorder = [](std::vector<std::pair<Fingerprint, Pba>>& log) {
+    return [&log](std::span<const Fingerprint> fps,
+                  std::span<const IndexEntry> entries) {
+      for (std::size_t i = 0; i < fps.size(); ++i)
+        log.emplace_back(fps[i], entries[i].pba);
+    };
   };
-  bulk.evict_hook = [&](const Fingerprint& fp, const IndexEntry& e) {
-    hook_bulk.emplace_back(fp, e.pba);
-  };
+  scalar.evict_hook = recorder(hook_scalar);
+  bulk.evict_hook = recorder(hook_bulk);
 
   Rng rng(99);
   for (int round = 0; round < 100; ++round) {

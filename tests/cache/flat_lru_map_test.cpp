@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pod {
@@ -133,8 +134,64 @@ TEST(FlatLruMap, ForEachIsMruToLru) {
   m.put(3, 3);
   (void)m.get(1);
   std::vector<int> order;
-  m.for_each([&](const int& k, const int&) { order.push_back(k); });
+  m.for_each_mru(m.size(), [&](const int& k, const int&) { order.push_back(k); });
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+}
+
+TEST(FlatLruMap, PopMruDrainsNewestFirst) {
+  FlatLruMap<int, int> m(8);
+  for (int k = 1; k <= 5; ++k) m.put(k, 10 * k);
+  (void)m.get(2);  // order now 2, 5, 4, 3, 1
+  EXPECT_EQ(m.pop_mru(), (std::pair<int, int>{2, 20}));
+  EXPECT_EQ(m.pop_mru(), (std::pair<int, int>{5, 50}));
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_FALSE(m.contains(2));
+  EXPECT_FALSE(m.contains(5));
+  std::vector<int> order;
+  m.for_each_mru(m.size(), [&](const int& k, const int&) { order.push_back(k); });
+  EXPECT_EQ(order, (std::vector<int>{4, 3, 1}));
+  // Popped slots are recycled; every remaining key still resolves.
+  m.put(6, 60);
+  m.put(7, 70);
+  for (int k : {1, 3, 4, 6, 7}) ASSERT_NE(m.peek(k), nullptr) << k;
+  EXPECT_EQ(m.pop_mru(), (std::pair<int, int>{7, 70}));
+}
+
+TEST(FlatLruMap, PopMruMatchesEraseOfTheHead) {
+  // Popping the MRU end leaves exactly the state erasing those keys in the
+  // same order would, through later puts and evictions too.
+  FlatLruMap<int, int> popped(64), erased(64);
+  for (int k = 0; k < 200; ++k) {
+    popped.put(k * 7 % 101, k);
+    erased.put(k * 7 % 101, k);
+  }
+  for (int i = 0; i < 20; ++i) {
+    std::vector<int> head;
+    erased.for_each_mru(1, [&](const int& k, const int&) { head.push_back(k); });
+    ASSERT_EQ(popped.pop_mru().first, head[0]);
+    ASSERT_TRUE(erased.erase(head[0]));
+  }
+  std::vector<int> ev_a, ev_b;
+  for (int k = 300; k < 380; ++k) {
+    popped.put(k, k, [&](const int& key, int&&) { ev_a.push_back(key); });
+    erased.put(k, k, [&](const int& key, int&&) { ev_b.push_back(key); });
+  }
+  EXPECT_EQ(ev_a, ev_b);
+  std::vector<int> a, b;
+  popped.for_each_mru(popped.size(), [&](const int& k, const int&) { a.push_back(k); });
+  erased.for_each_mru(erased.size(), [&](const int& k, const int&) { b.push_back(k); });
+  EXPECT_EQ(a, b);
+}
+
+TEST(FlatLruMap, ForEachMruStopsAtLimit) {
+  FlatLruMap<int, int> m(8);
+  for (int k = 1; k <= 5; ++k) m.put(k, k);
+  std::vector<int> seen;
+  m.for_each_mru(2, [&](const int& k, const int&) { seen.push_back(k); });
+  EXPECT_EQ(seen, (std::vector<int>{5, 4}));
+  seen.clear();
+  m.for_each_mru(100, [&](const int& k, const int&) { seen.push_back(k); });
+  EXPECT_EQ(seen.size(), 5u);
 }
 
 TEST(FlatLruMap, ContainsWithoutPromotion) {
@@ -206,7 +263,7 @@ TEST(FlatLruMap, RecyclingChurnMatchesModel) {
   }
   EXPECT_LE(m.size(), 8u);
   std::vector<int> keys;
-  m.for_each([&](const int& k, const int&) { keys.push_back(k); });
+  m.for_each_mru(m.size(), [&](const int& k, const int&) { keys.push_back(k); });
   EXPECT_EQ(keys.size(), m.size());
 }
 

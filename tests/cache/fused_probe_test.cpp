@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cache/index_cache.hpp"
@@ -57,11 +58,13 @@ void expect_same_state(IndexCache& a, IndexCache& b, std::uint64_t key_range) {
 void expect_same_eviction_order(IndexCache& a, IndexCache& b,
                                 std::uint64_t fresh_base, std::size_t n) {
   std::vector<std::uint64_t> ev_a, ev_b;
-  a.evict_hook = [&](const Fingerprint& f, const IndexEntry&) {
-    ev_a.push_back(f.prefix64());
+  a.evict_hook = [&](std::span<const Fingerprint> fs,
+                     std::span<const IndexEntry>) {
+    for (const Fingerprint& f : fs) ev_a.push_back(f.prefix64());
   };
-  b.evict_hook = [&](const Fingerprint& f, const IndexEntry&) {
-    ev_b.push_back(f.prefix64());
+  b.evict_hook = [&](std::span<const Fingerprint> fs,
+                     std::span<const IndexEntry>) {
+    for (const Fingerprint& f : fs) ev_b.push_back(f.prefix64());
   };
   for (std::uint64_t k = 0; k < n; ++k) {
     a.insert(fp(fresh_base + k), fresh_base + k);

@@ -53,7 +53,7 @@ TEST(GhostCache, ForEachMruFirst) {
   g.remember(2);
   g.remember(3);
   std::vector<int> order;
-  g.for_each([&](const int& k) { order.push_back(k); });
+  g.for_each_mru(g.size(), [&](const int& k, std::uint64_t) { order.push_back(k); });
   EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
 }
 

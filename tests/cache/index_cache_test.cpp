@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 namespace pod {
@@ -66,8 +67,9 @@ TEST(IndexCache, LookupPromotes) {
 TEST(IndexCache, EvictHookFires) {
   IndexCache c(1 * IndexCache::kEntryBytes, 8 * IndexCache::kEntryBytes);
   std::vector<Pba> spilled;
-  c.evict_hook = [&](const Fingerprint&, const IndexEntry& e) {
-    spilled.push_back(e.pba);
+  c.evict_hook = [&](std::span<const Fingerprint>,
+                     std::span<const IndexEntry> entries) {
+    for (const IndexEntry& e : entries) spilled.push_back(e.pba);
   };
   c.insert(fp(1), 11);
   c.insert(fp(2), 22);  // evicts fp(1) -> hook
@@ -92,11 +94,18 @@ TEST(IndexCache, RebindUpdatesPba) {
 TEST(IndexCache, ResizeShrinkEvictsAndHooks) {
   IndexCache c(4 * IndexCache::kEntryBytes, 16 * IndexCache::kEntryBytes);
   int hook_calls = 0;
-  c.evict_hook = [&](const Fingerprint&, const IndexEntry&) { ++hook_calls; };
+  std::vector<Pba> spilled;
+  c.evict_hook = [&](std::span<const Fingerprint>,
+                     std::span<const IndexEntry> entries) {
+    ++hook_calls;
+    for (const IndexEntry& e : entries) spilled.push_back(e.pba);
+  };
   for (std::uint64_t i = 0; i < 4; ++i) c.insert(fp(i), i);
   c.resize(2 * IndexCache::kEntryBytes);
   EXPECT_EQ(c.size_entries(), 2u);
-  EXPECT_EQ(hook_calls, 2);
+  // One call for the whole shrink, oldest eviction first.
+  EXPECT_EQ(hook_calls, 1);
+  EXPECT_EQ(spilled, (std::vector<Pba>{0, 1}));
   EXPECT_TRUE(c.ghost_probe(fp(0)));
 }
 

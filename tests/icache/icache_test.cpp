@@ -139,16 +139,85 @@ TEST(ICache, FractionBoundsRespected) {
 TEST(ICache, SpilledIndexEntriesReadmittedOnGrow) {
   Fixture f;
   ICache ic = f.make();
-  // Overfill the index cache so entries spill (evict_hook -> spilled store).
-  const std::size_t cap = f.index.capacity_bytes() / IndexCache::kEntryBytes;
-  for (std::uint64_t i = 0; i < cap + 100; ++i) f.index.insert(fp(i), i);
+  // Overfill the index cache so entries spill (evict_hook -> spilled
+  // store): fp(0) spills first, fp(kSpilled - 1) last.
+  constexpr std::uint64_t kSpilled = 2000;
+  const std::size_t cap = f.index.capacity_entries();
+  for (std::uint64_t i = 0; i < cap + kSpilled; ++i) f.index.insert(fp(i), i);
+  ASSERT_EQ(ic.spilled().size(), kSpilled);
+  (void)f.index.lookup(fp(cap + kSpilled - 1));  // Count 1 on a live entry
   drive(ic, [&](int round) { f.index_ghost_signal(500000u + 1000u * round); });
-  EXPECT_GT(ic.stats().index_entries_readmitted, 0u);
-  // Re-admitted entries are queryable again.
-  std::uint64_t found = 0;
-  for (std::uint64_t i = 0; i < 100; ++i)
-    if (f.index.peek(fp(i)) != nullptr) ++found;
-  EXPECT_GT(found, 0u);
+  ASSERT_EQ(ic.stats().grew_index, 1u);
+  // The index grew by one step; exactly that many of the most recently
+  // spilled entries come back, newest spill first, so the last one
+  // re-admitted (the oldest of them) ends at the index's MRU end.
+  const std::size_t grown = f.index.capacity_entries() - cap;
+  ASSERT_GT(grown, 0u);
+  ASSERT_LT(grown, kSpilled);
+  EXPECT_EQ(ic.stats().index_entries_readmitted, grown);
+  EXPECT_EQ(ic.spilled().size(), kSpilled - grown);
+  EXPECT_EQ(f.index.size_entries(), cap + grown);
+  std::vector<std::uint64_t> mru;
+  f.index.for_each_mru(grown + 1, [&](const Fingerprint& k, const IndexEntry& e) {
+    // Re-admitted entries restart at Count 0; the live one keeps its 1.
+    EXPECT_EQ(e.count, mru.size() < grown ? 0u : 1u);
+    EXPECT_EQ(k, fp(e.pba));
+    mru.push_back(e.pba);
+  });
+  std::vector<std::uint64_t> want;
+  for (std::size_t i = 0; i < grown; ++i) want.push_back(kSpilled - grown + i);
+  want.push_back(cap + kSpilled - 1);  // the live entry looked up above
+  EXPECT_EQ(mru, want);
+  // The rest stay spilled, newest first; the re-admitted keys left the
+  // index ghost without counting as hits.
+  std::vector<std::uint64_t> still;
+  ic.spilled().for_each_mru(2, [&](const Fingerprint&, const IndexEntry& e) {
+    still.push_back(e.pba);
+  });
+  EXPECT_EQ(still, (std::vector<std::uint64_t>{kSpilled - grown - 1,
+                                               kSpilled - grown - 2}));
+  for (std::size_t i = kSpilled - grown; i < kSpilled; ++i)
+    EXPECT_FALSE(f.index.ghost().contains(fp(i))) << i;
+  EXPECT_TRUE(f.index.ghost().contains(fp(kSpilled - grown - 1)));
+  // Swap-in cost: one sequential read of the re-admitted metadata.
+  const std::uint64_t blocks = bytes_to_blocks(grown * IndexCache::kEntryBytes);
+  EXPECT_EQ(ic.stats().swap_blocks_read, blocks);
+  ASSERT_FALSE(f.swaps.empty());
+  EXPECT_EQ(f.swaps.back(), (std::pair<OpType, std::uint64_t>{OpType::kRead, blocks}));
+}
+
+TEST(ICache, StaleSpilledEntriesAreReadmittedAsIs) {
+  // Known divergence (DESIGN.md, key decision 5): the swap area is never
+  // cleaned when a spilled fingerprint is written again or its block is
+  // freed, so a readmit can overwrite a live index entry with an older
+  // PBA, or bring back an entry whose block is gone. The engines check
+  // every index candidate against the block store before deduplicating,
+  // so a stale entry costs a missed dedup, never a wrong mapping. This
+  // test pins today's behaviour; fixing it changes simulated output.
+  Fixture f;
+  ICache ic = f.make();
+  const std::size_t cap = f.index.capacity_entries();
+  for (std::uint64_t i = 0; i < cap; ++i) f.index.insert(fp(i), i);
+  f.index.insert(fp(cap), cap);          // spills fp(0) -> PBA 0
+  f.index.insert(fp(cap + 1), cap + 1);  // spills fp(1) -> PBA 1
+  f.index.insert(fp(0), 999);            // fp(0) rewritten: live at 999,
+                                         // spills fp(2)
+  f.index.invalidate(fp(1));             // fp(1)'s block freed (not cached)
+  ASSERT_EQ(ic.spilled().size(), 3u);
+  ASSERT_EQ(f.index.peek(fp(0))->pba, 999u);
+  drive(ic, [&](int round) { f.index_ghost_signal(500000u + 1000u * round); });
+  ASSERT_EQ(ic.stats().index_entries_readmitted, 3u);
+  EXPECT_TRUE(ic.spilled().empty());
+  // The live entry is overwritten with the stale PBA.
+  ASSERT_NE(f.index.peek(fp(0)), nullptr);
+  EXPECT_EQ(f.index.peek(fp(0))->pba, 0u);
+  // The freed block's entry comes back.
+  ASSERT_NE(f.index.peek(fp(1)), nullptr);
+  EXPECT_EQ(f.index.peek(fp(1))->pba, 1u);
+  ASSERT_NE(f.index.peek(fp(2)), nullptr);
+  EXPECT_EQ(f.index.peek(fp(2))->pba, 2u);
+  // Overwriting takes no new slot: two entries were added, not three.
+  EXPECT_EQ(f.index.size_entries(), cap + 2);
 }
 
 TEST(ICache, GhostReadBlocksPrefetchedOnGrow) {
