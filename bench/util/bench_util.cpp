@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/resource.hpp"
@@ -12,6 +14,23 @@
 #include "trace/trace_cache.hpp"
 
 namespace pod::bench {
+
+namespace {
+
+/// The host's transparent-huge-page mode (the bracketed entry of
+/// /sys/kernel/mm/transparent_hugepage/enabled), or "unavailable".
+std::string thp_mode() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(in, line);
+  const std::size_t open = line.find('[');
+  const std::size_t close = line.find(']', open);
+  if (open == std::string::npos || close == std::string::npos)
+    return "unavailable";
+  return line.substr(open + 1, close - open - 1);
+}
+
+}  // namespace
 
 const RunOptions& options() {
   static const RunOptions opts = [] {
@@ -236,6 +255,7 @@ void emit_replay_counters_json(
                  path.c_str());
     return;
   }
+  const std::string thp = thp_mode();
   for (const auto& [kind, r] : results) {
     // Long-standing keys first, unchanged, so existing consumers keep
     // parsing; the per-disk / parity / iCache / telemetry keys are appended.
@@ -252,16 +272,17 @@ void emit_replay_counters_json(
         static_cast<unsigned long long>(r.batch_probes),
         static_cast<unsigned long long>(r.scratch_bytes));
     // Host execution context: makes a JSON line interpretable on its own
-    // (which SIMD tier the kernels dispatched to, whether the intra-replay
-    // pipeline could run — on a 1-core host it auto-disables and the run
-    // is the honest single-threaded baseline).
+    // (which SIMD tier the kernels dispatched to, whether the metadata
+    // tables could get 2 MiB pages, whether the intra-replay pipeline
+    // could run — on a 1-core host it auto-disables and the run is the
+    // honest single-threaded baseline).
     const unsigned hw = std::thread::hardware_concurrency();
     std::fprintf(
         f,
         ",\"host\":{\"hw_threads\":%u,\"simd_tier\":\"%s\","
-        "\"pipeline_enabled\":%s,\"pipeline_depth\":%llu,"
+        "\"thp\":\"%s\",\"pipeline_enabled\":%s,\"pipeline_depth\":%llu,"
         "\"pipeline_batches\":%llu}",
-        hw > 0 ? hw : 1, to_string(active_simd_tier()),
+        hw > 0 ? hw : 1, to_string(active_simd_tier()), thp.c_str(),
         r.pipeline.enabled ? "true" : "false",
         static_cast<unsigned long long>(r.pipeline.depth),
         static_cast<unsigned long long>(r.pipeline.batches));

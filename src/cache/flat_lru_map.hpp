@@ -47,6 +47,7 @@
 
 #include "common/check.hpp"
 #include "common/ctrl_group.hpp"
+#include "common/page_alloc.hpp"
 #include "common/prefetch.hpp"
 
 namespace pod {
@@ -685,12 +686,12 @@ class FlatLruMap {
   }
 
   std::size_t capacity_;
-  std::vector<Bucket> table_;
+  HugeVector<Bucket> table_;
   /// One control byte per bucket (0 = empty, else ctrl_of(tag)), plus
   /// kCtrlPad wraparound mirror bytes; group-scanned by probe().
-  std::vector<std::uint8_t> ctrl_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;
+  HugeVector<std::uint8_t> ctrl_;
+  HugeVector<Slot> slots_;
+  HugeVector<std::uint32_t> free_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
   std::uint32_t head_ = kNil;

@@ -16,9 +16,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "common/ctrl_group.hpp"
+#include "common/page_alloc.hpp"
 #include "common/prefetch.hpp"
 
 namespace pod {
@@ -80,14 +80,6 @@ class FlatHashMap {
     }
   }
 
-  /// Pre-sizes the table for `expected` entries so steady growth to that
-  /// size pays no incremental rebuilds.
-  void reserve(std::size_t expected) {
-    std::size_t required = 16;
-    while (required < 2 * (expected + 1)) required <<= 1;
-    if (buckets() < required) rebuild(required);
-  }
-
   /// Inserts or overwrites. One probe pass: the scan that rules the key
   /// out ends exactly at the slot a new entry belongs in.
   void insert_or_assign(const K& key, V value) {
@@ -105,12 +97,13 @@ class FlatHashMap {
     ++size_;
   }
 
-  /// Removes `key`; returns true if it was present. Backward-shift
-  /// deletion: displaced entries slide back toward their home slot so no
-  /// tombstone is left behind.
-  bool erase(const K& key) {
+  /// Removes `key` if it is present and `pred(value)` holds; returns true
+  /// if it erased. Backward-shift deletion: displaced entries slide back
+  /// toward their home slot so no tombstone is left behind.
+  template <typename Pred>
+  bool erase_if(const K& key, Pred&& pred) {
     std::size_t i = find_index(key);
-    if (i == kNpos) return false;
+    if (i == kNpos || !pred(slots_[i].second)) return false;
     --size_;
     for (;;) {
       set_state(i, kEmpty);
@@ -130,11 +123,17 @@ class FlatHashMap {
     }
   }
 
+  /// Removes `key`; returns true if it was present.
+  bool erase(const K& key) {
+    return erase_if(key, [](const V&) { return true; });
+  }
+
   void clear() {
     slots_.clear();
     state_.clear();
     mask_ = 0;
     size_ = 0;
+    grow_at_ = 0;
   }
 
   /// Iterates all entries (unspecified order).
@@ -189,20 +188,22 @@ class FlatHashMap {
     return r.found ? r.pos : kNpos;
   }
 
+  /// Keeps live entries under half the table: one insert at size_ ==
+  /// grow_at_ would reach half, so the table doubles first (an empty table
+  /// starts at 16 buckets).
   void ensure_space() {
-    std::size_t required = 16;
-    while (required < 2 * (size_ + 1)) required <<= 1;
-    if (buckets() < required) rebuild(required);
+    if (size_ >= grow_at_) rebuild(buckets() == 0 ? 16 : 2 * buckets());
   }
 
   void rebuild(std::size_t new_size) {
-    std::vector<std::pair<K, V>> old_slots = std::move(slots_);
-    std::vector<std::uint8_t> old_state = std::move(state_);
+    HugeVector<std::pair<K, V>> old_slots = std::move(slots_);
+    HugeVector<std::uint8_t> old_state = std::move(state_);
     const std::size_t old_buckets =
         old_state.empty() ? 0 : old_state.size() - kCtrlPad;
     slots_.assign(new_size, {});
     state_.assign(new_size + kCtrlPad, kEmpty);
     mask_ = new_size - 1;
+    grow_at_ = new_size / 2;
     wide_ = wide_ctrl_groups();
     for (std::size_t i = 0; i < old_buckets; ++i) {
       if (old_state[i] == kEmpty) continue;
@@ -214,10 +215,12 @@ class FlatHashMap {
     }
   }
 
-  std::vector<std::pair<K, V>> slots_;
-  std::vector<std::uint8_t> state_;
+  HugeVector<std::pair<K, V>> slots_;
+  HugeVector<std::uint8_t> state_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
+  /// Size at which the next insert rebuilds (half the buckets; 0 = empty).
+  std::size_t grow_at_ = 0;
   /// AVX2 continuation groups enabled (cached from the SIMD dispatch at
   /// rebuild time so probes never touch dispatch state).
   bool wide_ = false;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/page_alloc.hpp"
 #include "common/prefetch.hpp"
 #include "common/types.hpp"
 #include "dedup/map_table.hpp"
@@ -240,8 +241,8 @@ class BlockStore {
   // (fps_[pba] is meaningful only while refs_[pba] > 0). The flat layout
   // keeps the replay write path — refcount/unref/place_write are its
   // hottest calls — free of hashing, probing and rehash pauses.
-  std::vector<std::uint32_t> refs_;
-  std::vector<Fingerprint> fps_;
+  HugeVector<std::uint32_t> refs_;
+  HugeVector<Fingerprint> fps_;
   std::uint64_t live_physical_ = 0;
   std::uint64_t live_count_ = 0;
   ChunkCounters chunk_counters_;

@@ -22,8 +22,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "common/page_alloc.hpp"
 #include "common/types.hpp"
 
 namespace pod {
@@ -124,7 +124,7 @@ class MapTable {
                                : kInvalidPba;
   }
 
-  std::vector<Pba> table_;
+  HugeVector<Pba> table_;
   std::size_t entries_ = 0;
   std::size_t max_entries_ = 0;
 };

@@ -21,8 +21,6 @@ OnDiskIndex::OnDiskIndex(const Config& cfg) : cfg_(cfg) {
   POD_CHECK(cfg_.insert_batch > 0);
   POD_CHECK(cfg_.bloom_bits >= 64);
   bloom_.assign(static_cast<std::size_t>((cfg_.bloom_bits + 63) / 64), 0);
-  if (cfg_.expected_entries > 0)
-    table_.reserve(static_cast<std::size_t>(cfg_.expected_entries));
 }
 
 Pba OnDiskIndex::bucket_of(const Fingerprint& fp) const {
@@ -91,6 +89,13 @@ const Pba* OnDiskIndex::peek(const Fingerprint& fp) const {
 
 void OnDiskIndex::erase(const Fingerprint& fp) {
   if (table_.erase(fp) && journal_ != nullptr) journal_->index_del(fp);
+}
+
+bool OnDiskIndex::erase_if_maps_to(const Fingerprint& fp, Pba pba) {
+  const bool erased =
+      table_.erase_if(fp, [pba](Pba stored) { return stored == pba; });
+  if (erased && journal_ != nullptr) journal_->index_del(fp);
+  return erased;
 }
 
 void OnDiskIndex::restore_entry(const Fingerprint& fp, Pba pba) {

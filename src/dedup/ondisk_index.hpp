@@ -14,9 +14,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/flat_hash_map.hpp"
+#include "common/page_alloc.hpp"
 #include "common/types.hpp"
 #include "hash/fingerprint.hpp"
 
@@ -41,9 +41,6 @@ class OnDiskIndex {
     /// the plain Full-Dedupe of the paper's §II-B. Enabling the Bloom
     /// filter (DDFS-style, [36]) is an ablation.
     bool bloom_enabled = true;
-    /// Expected unique-fingerprint count; pre-sizes the in-memory table so
-    /// steady growth pays no incremental rehash pauses (0 = grow on demand).
-    std::uint64_t expected_entries = 0;
   };
 
   explicit OnDiskIndex(const Config& cfg);
@@ -67,9 +64,14 @@ class OnDiskIndex {
   /// accounting. Returns the stored PBA or nullptr.
   const Pba* peek(const Fingerprint& fp) const;
 
-  /// Drops an entry (freed physical block). Bloom bits are not cleared —
-  /// subsequent lookups may pay a false-positive disk read, as in reality.
+  /// Drops an entry (journal recovery, fsck repair). Bloom bits are not
+  /// cleared — subsequent lookups may pay a false-positive disk read, as in
+  /// reality.
   void erase(const Fingerprint& fp);
+
+  /// erase() only if `fp` still maps to `pba` (that block's content was
+  /// freed or replaced), in one probe; returns true if it erased.
+  bool erase_if_maps_to(const Fingerprint& fp, Pba pba);
 
   /// Attaches a write-ahead journal: inserts and erases are recorded as
   /// index_put/index_del before taking effect. Null detaches.
@@ -103,7 +105,7 @@ class OnDiskIndex {
   Config cfg_;
   FlatHashMap<Fingerprint, Pba, FingerprintHash> table_;
   MetadataJournal* journal_ = nullptr;
-  std::vector<std::uint64_t> bloom_;
+  HugeVector<std::uint64_t> bloom_;
   std::uint32_t pending_inserts_ = 0;
   mutable std::uint64_t bloom_negatives_ = 0;
   mutable std::uint64_t disk_lookups_ = 0;

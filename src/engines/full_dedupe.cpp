@@ -7,8 +7,7 @@
 namespace pod {
 
 namespace {
-OnDiskIndex::Config ondisk_config(const DedupEngine* engine,
-                                  const EngineConfig& cfg) {
+OnDiskIndex::Config ondisk_config(const EngineConfig& cfg) {
   OnDiskIndex::Config c;
   // Region begins right after the data region (home area + pool).
   const std::uint64_t pool = std::max<std::uint64_t>(
@@ -17,19 +16,13 @@ OnDiskIndex::Config ondisk_config(const DedupEngine* engine,
   c.region_start = cfg.logical_blocks + pool;
   c.region_blocks = cfg.index_region_blocks;
   c.bloom_enabled = cfg.full_dedupe_bloom;
-  // Unique content is a fraction of the logical space. A 1/16 floor skips
-  // the small early rehashes without oversizing the probe table (growing
-  // workloads still rehash a few times, but only at sizes where the copy
-  // is cheap relative to the inserts that earned it).
-  c.expected_entries = cfg.logical_blocks / 16;
-  (void)engine;
   return c;
 }
 }  // namespace
 
 FullDedupeEngine::FullDedupeEngine(Simulator& sim, Volume& volume,
                                    const EngineConfig& cfg)
-    : DedupEngine(sim, volume, cfg), ondisk_(ondisk_config(this, cfg)) {
+    : DedupEngine(sim, volume, cfg), ondisk_(ondisk_config(cfg)) {
   POD_CHECK(index_cache_ != nullptr);
   ondisk_.set_journal(metadata_journal());
 }
@@ -38,8 +31,7 @@ void FullDedupeEngine::on_content_gone(Pba pba, const Fingerprint& fp) {
   DedupEngine::on_content_gone(pba, fp);
   // Drop the authoritative entry only if it still points at this block
   // (metadata maintenance piggybacks on the data path; no disk charge).
-  const Pba* stored = ondisk_.peek(fp);
-  if (stored != nullptr && *stored == pba) ondisk_.erase(fp);
+  ondisk_.erase_if_maps_to(fp, pba);
 }
 
 DedupEngine::IoPlan FullDedupeEngine::process_write(const IoRequest& req) {

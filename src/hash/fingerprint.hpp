@@ -44,15 +44,16 @@ class Fingerprint {
   /// on-trace representation. Header-inline: every index-cache, ghost and
   /// map probe hashes through this (tens of millions of calls per replay),
   /// and out of line it was a measurable fraction of a replay's profile.
-  std::uint64_t prefix64() const {
-    std::uint64_t v;
-    std::memcpy(&v, bytes_.data(), 8);
-    return v;
-  }
+  std::uint64_t prefix64() const { return word(0); }
 
   std::string hex() const;
 
-  friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
+  /// Two inline 8-byte compares: every index, ghost and block-store probe
+  /// ends in this, and a defaulted array compare calls memcmp.
+  friend bool operator==(const Fingerprint& a, const Fingerprint& b) {
+    return ((a.word(0) ^ b.word(0)) | (a.word(1) ^ b.word(1))) == 0;
+  }
+  /// Lexicographic over the bytes.
   friend auto operator<=>(const Fingerprint&, const Fingerprint&) = default;
 
   const std::array<std::uint8_t, kSize>& bytes() const { return bytes_; }
@@ -63,6 +64,13 @@ class Fingerprint {
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
+  }
+
+  /// Bytes [8i, 8i + 8) as an integer.
+  std::uint64_t word(int i) const {
+    std::uint64_t v;
+    std::memcpy(&v, bytes_.data() + 8 * i, 8);
+    return v;
   }
 
   std::array<std::uint8_t, kSize> bytes_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/journal.hpp"
+
 namespace pod {
 namespace {
 
@@ -59,6 +61,23 @@ TEST(OnDiskIndex, EraseRemovesEntry) {
   EXPECT_FALSE(l.found);
   // Bloom bits persist: the lookup still pays the (now futile) disk read.
   EXPECT_TRUE(l.needs_disk_read);
+}
+
+TEST(OnDiskIndex, EraseIfMapsToKeepsEntryForAnotherBlock) {
+  OnDiskIndex idx(small_cfg());
+  MetadataJournal journal;
+  idx.set_journal(&journal);
+  (void)idx.insert(fp(1), 42);
+  // The fingerprint moved on to block 42; block 7's content going away
+  // must not drop it, and nothing is journaled.
+  EXPECT_FALSE(idx.erase_if_maps_to(fp(1), 7));
+  EXPECT_FALSE(idx.erase_if_maps_to(fp(2), 42));
+  ASSERT_NE(idx.peek(fp(1)), nullptr);
+  EXPECT_EQ(journal.records().size(), 1u);  // the index_put only
+  EXPECT_TRUE(idx.erase_if_maps_to(fp(1), 42));
+  EXPECT_EQ(idx.peek(fp(1)), nullptr);
+  ASSERT_EQ(journal.records().size(), 2u);
+  EXPECT_EQ(journal.records().back().op, JournalOp::kIndexDel);
 }
 
 TEST(OnDiskIndex, PeekDoesNotCharge) {

@@ -76,8 +76,7 @@ struct World {
     // Engine contract (see FullDedupeEngine::on_content_gone): when a
     // block's content is released, the matching index entry is dropped.
     store.on_content_gone = [this](Pba pba, const Fingerprint& fp) {
-      const Pba* stored = index.peek(fp);
-      if (stored != nullptr && *stored == pba) index.erase(fp);
+      index.erase_if_maps_to(fp, pba);
     };
   }
 };
